@@ -96,10 +96,6 @@ def dump_map(local: LocalMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-class MergeAborted(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class MergeRecord:
     sighting: Sighting
@@ -174,7 +170,7 @@ class MapStore:
     def queue_sighting(self, s: Sighting) -> None:
         self.pending.append(s)
 
-    def process_merges(self, strict_stale: bool = True) -> list[MergeRecord]:
+    def process_merges(self) -> list[MergeRecord]:
         """Run every queued sighting to completion, FIFO. A report that no
         longer matches the reporter's current position aborts its instance."""
         records: list[MergeRecord] = []
@@ -182,9 +178,7 @@ class MapStore:
             s = self.pending.pop(0)
             if self.leaders[s.a] == self.leaders[s.b]:
                 continue  # same group: nothing to merge
-            if strict_stale and (
-                self.maps[s.a].self_pos != s.pos_a or self.maps[s.b].self_pos != s.pos_b
-            ):
+            if self.maps[s.a].self_pos != s.pos_a or self.maps[s.b].self_pos != s.pos_b:
                 continue  # stale sighting: abort, groups unchanged
             records.append(self._run_instance(s))
         return records

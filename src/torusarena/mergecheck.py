@@ -76,13 +76,16 @@ def chain_model(
     """Agents on a line sighting each other consecutively. When the schedule
     has fewer sightings than merges needed, the uncovered tail starts
     pre-merged into one group, so a done state (full unification) stays
-    reachable and the merge meets a larger group along the way."""
+    reachable and the merge meets a larger group along the way. A chain has
+    n_agents - 1 links, so more sightings than that are rejected; richer
+    schedules go through `pairs`."""
     if not 2 <= n_agents <= 4:
         raise ValueError("the model supports 2 to 4 agents")
     agents = tuple(f"a{i + 1}" for i in range(n_agents))
     positions = {a: (i * spacing, 0) for i, a in enumerate(agents)}
     if pairs is None:
-        n_sightings = min(n_sightings, n_agents - 1)
+        if not 1 <= n_sightings <= n_agents - 1:
+            raise ValueError(f"a chain of {n_agents} agents supports 1 to {n_agents - 1} sightings")
         pairs = tuple((agents[i], agents[i + 1]) for i in range(n_sightings))
         if initial_leaders is None and n_sightings < n_agents - 1:
             head = agents[n_sightings]

@@ -141,6 +141,8 @@ def solve(problem: Problem) -> Plan:
     goal is unreachable. Breadth-first with neighbors generated in the fixed
     order move N,S,E,W / rotate cw,ccw / clear N,S,E,W, which makes the
     result the lexicographically smallest optimal plan."""
+    if problem.clear_allowed and not relaxed_reachable(problem):
+        return ()
     empty_cell = [label == EMPTY for label in problem.labels]
     obstacle_bit = {}
     for i, label in enumerate(problem.labels):
@@ -213,6 +215,45 @@ def solve(problem: Problem) -> Plan:
     return ()
 
 
+def relaxed_reachable(problem: Problem) -> bool:
+    """Whether the goal is reachable with every obstacle treated as cleared.
+    The search runs over (cell, attachment) states with solve's move and
+    rotate rules. Every real plan projects onto a path here (clear actions
+    become self-loops), so False proves that solve returns (); without
+    clearing, solve's own search already walks exactly these states."""
+    open_cell = [label != BLOCKED for label in problem.labels]
+
+    def passable(i: int) -> bool:
+        return i != _NO_CELL and open_cell[i]
+
+    goal_i = DIAMOND_INDEX[problem.goal]
+    start = (DIAMOND_INDEX[(0, 0)], _ATT_CODE[problem.attached])
+    seen = {start}
+    stack = [start]
+    while stack:
+        pos, att = stack.pop()
+        if pos == goal_i:
+            return True
+        succ = []
+        for npos in _NEIGHBORS[pos]:
+            if not passable(npos):
+                continue
+            if att:
+                nblock = _shift(npos, att)
+                if nblock != pos and not passable(nblock):
+                    continue
+            succ.append((npos, att))
+        if att:
+            for natt in (_ROT_CW[att], _ROT_CCW[att]):
+                if passable(_shift(pos, natt)):
+                    succ.append((pos, natt))
+        for nxt in succ:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
 def _shift(cell_i: int, att_code: int) -> int:
     return _NEIGHBORS[cell_i][att_code - 1]
 
@@ -223,10 +264,6 @@ def _reconstruct(parents, state) -> Plan:
         state, token = parents[state]
         tokens.append(token)
     return tuple(reversed(tokens))
-
-
-def plan_cost(plan: Plan) -> int:
-    return len(plan)
 
 
 def action_from_token(token: str) -> Action:

@@ -831,7 +831,3 @@ class World:
         for link in self.links:
             ca, cb = tuple(link)
             assert manhattan(delta(ca, cb, self.dims)) == 1, "link between non-adjacent cells"
-
-
-def new_world(config: WorldConfig, seed: int) -> World:
-    return World(config, seed)

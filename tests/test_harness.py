@@ -241,6 +241,13 @@ class TestCli:
         assert rc == 2
         assert "FAIL" in out and "counterexample" in out
 
+    def test_check_protocol_too_many_sightings_exits_1(self, capsys):
+        rc = cli_main(["check-protocol", "--agents", "4", "--sightings", "5"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error:" in captured.err and "sightings" in captured.err
+        assert "PASS" not in captured.out
+
     def test_bad_config_exits_1(self, capsys):
         rc = cli_main(["run", "--dims", "4x4", "--steps", "5"])
         assert rc == 1

@@ -132,6 +132,13 @@ def test_standard_checks_all_pass_up_to_four_agents():
         assert all(verdicts), [v.name for v in verdicts if not v]
 
 
+def test_sightings_beyond_the_chain_are_rejected():
+    with pytest.raises(ValueError, match="1 to 3 sightings"):
+        chain_model(4, 5)
+    with pytest.raises(ValueError):
+        chain_model(3, 0)
+
+
 def test_scenarios_have_six_entries():
     assert len(builtin_scenarios()) == 6
     assert len({sc.name for sc in builtin_scenarios()}) == 6

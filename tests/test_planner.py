@@ -1,9 +1,12 @@
+import dataclasses
 import heapq
+import pathlib
 import random
 
 import pytest
 
 from conftest import scripted_world
+from torusarena.plan_cache import decode_key
 from torusarena.planner import (
     BLOCKED,
     EMPTY,
@@ -14,6 +17,7 @@ from torusarena.planner import (
     build_problem,
     export_problem,
     fallback_one_step,
+    relaxed_reachable,
     select_good_cell,
     simulate_plan,
     solve,
@@ -179,6 +183,38 @@ class TestSolve:
                 assert len(plan) == expected, f"trial {trial}: {len(plan)} != {expected}"
                 end, _ = simulate_plan(p, plan)
                 assert end == goal
+
+
+UNREACHABLE_KEYS = (
+    (pathlib.Path(__file__).parent / "fixtures" / "unreachable_keys.txt").read_text().split()
+)
+
+
+class TestUnreachable:
+    """Clear-allowed problems from dense matches whose goal no plan reaches.
+    A full search of one walks every subset of cleared obstacles (seconds)."""
+
+    @pytest.mark.parametrize("key", UNREACHABLE_KEYS)
+    def test_fixture_key_is_proven_unreachable(self, key):
+        problem = decode_key(key)
+        assert problem.clear_allowed
+        assert not relaxed_reachable(problem)
+        assert solve(problem) == ()
+
+    def test_fixture_needs_the_attached_block(self):
+        # Without its attachment the agent alone reaches the goal in some of
+        # these problems: the relaxation has to carry the block.
+        agent_only = [
+            relaxed_reachable(dataclasses.replace(decode_key(key), attached=None))
+            for key in UNREACHABLE_KEYS
+        ]
+        assert any(agent_only)
+
+    def test_obstacles_count_as_cleared(self):
+        ring = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+        p = make_problem(obstacles=ring, goal=(0, -3), clear=True)
+        assert relaxed_reachable(p)
+        assert len(solve(p)) == 6
 
 
 class TestBuildProblem:
