@@ -146,6 +146,9 @@ class GreedyCourier:
         self.names = sorted(names)
         self.phase = {n: "to_board" for n in self.names}
         self.task = {n: None for n in self.names}
+        # Goal cells never change (clears turn only obstacles into empty
+        # cells), so the list is built on the first use and kept.
+        self.goals: Optional[list[Coord]] = None
 
     def act(self, world: World, percepts: dict[str, Percept], step: int) -> dict[str, Action]:
         actions = {}
@@ -188,8 +191,9 @@ class GreedyCourier:
                 self.phase[name] = "to_dispenser"
                 return Action.skip()
         if phase == "to_goal":
-            goals = [c for c, t in world.terrain.items() if t == "goal"]
-            goal = self._nearest(world, me.pos, goals)
+            if self.goals is None:
+                self.goals = [c for c, t in world.terrain.items() if t == "goal"]
+            goal = self._nearest(world, me.pos, self.goals)
             if goal is None:
                 return Action.skip()
             if me.pos == goal:

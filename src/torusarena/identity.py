@@ -10,9 +10,9 @@ vision diamonds before demanding agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Container, Optional
 
-from .torus import VISION_RADIUS, Offset, add, neg
+from .torus import VISION_RADIUS, Offset, neg
 from .world import Percept, Thing
 
 
@@ -58,26 +58,26 @@ def unknown_team_entities(percept: Percept, team: str) -> list[Offset]:
     return sorted(t.offset for t in percept.things if t.kind == "entity" and t.detail == team)
 
 
-def matches_at(my_things: tuple[Thing, ...], reply: IdReply, offset: Offset, team: str) -> bool:
+def matches_at(mine: Container[Thing], reply: IdReply, offset: Offset, team: str) -> bool:
     """True iff the responder could be the entity I see at `offset`.
 
+    `mine` holds my own things; pass a frozenset when testing many offsets.
     Requires the reply to contain me (entity of my team at the mirrored
     offset) and every reply thing that maps into my vision diamond to have an
     exact counterpart in my own things.
     """
-    mirrored = neg(offset)
-    mine = set(my_things)
+    ox, oy = offset
+    mx, my = -ox, -oy
     found_me = False
-    for t in reply.things:
-        if t.offset == mirrored and t.kind == "entity":
-            if t.detail != team:
+    for (tx, ty), kind, detail in reply.things:
+        if tx == mx and ty == my and kind == "entity":
+            if detail != team:
                 return False
             found_me = True
             continue
-        mapped = add(t.offset, offset)
-        if abs(mapped[0]) + abs(mapped[1]) <= VISION_RADIUS:
-            if Thing(mapped, t.kind, t.detail) not in mine:
-                return False
+        x, y = tx + ox, ty + oy
+        if abs(x) + abs(y) <= VISION_RADIUS and ((x, y), kind, detail) not in mine:
+            return False
     return found_me
 
 
@@ -87,7 +87,8 @@ def match_candidate(my_things: tuple[Thing, ...], reply: IdReply, team: str) -> 
     None when no observed teammate matches the reply, and also when more than
     one does (the conservative choice: an uncertain match is no match)."""
     offsets = sorted(t.offset for t in my_things if t.kind == "entity" and t.detail == team)
-    hits = [off for off in offsets if matches_at(my_things, reply, off, team)]
+    mine = frozenset(my_things)
+    hits = [off for off in offsets if matches_at(mine, reply, off, team)]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -132,31 +133,38 @@ def identification_round(
     replies = {
         name: build_reply(name, step, percepts[name]) for name in sorted(percepts)
     }
+    # A responder can be the teammate I see at `off` only if it sees a
+    # teammate at -off, so index the responders (in name order) by the
+    # offsets at which they see one.
+    seen_at: dict[Offset, list[str]] = {}
+    for responder, reply in replies.items():
+        for t in reply.things:
+            if t.kind == "entity" and t.detail == team:
+                seen_at.setdefault(t.offset, []).append(responder)
     for name in sorted(percepts):
         book = books[name]
         book.start_round()
-        my_things = percepts[name].things
         sightings = unknown_team_entities(percepts[name], team)
         if not sightings:
             continue
         request = IdRequest(requester=name, step=step)  # one broadcast per agent per step
         stats.broadcasts += 1
         stats.replies += len(percepts) - 1
-        per_offset: dict[Offset, list[tuple[str, Offset]]] = {off: [] for off in sightings}
-        for responder in sorted(percepts):
-            if responder == name:
-                continue
-            reply = replies[responder]
-            if reply.step != request.step:
-                continue  # stale replies are discarded
+        mine = frozenset(percepts[name].things)
+        for off in sightings:
             # A responder matching at several offsets stays a candidate at
             # each of them; discarding it could leave a wrong unique
             # candidate standing at the true offset.
-            for off in sightings:
-                if matches_at(my_things, reply, off, team):
-                    per_offset[off].append((responder, off))
-        for off in sightings:
-            res = resolve(per_offset[off])
+            candidates = []
+            for responder in seen_at.get(neg(off), ()):
+                if responder == name:
+                    continue
+                reply = replies[responder]
+                if reply.step != request.step:
+                    continue  # stale replies are discarded
+                if matches_at(mine, reply, off, team):
+                    candidates.append((responder, off))
+            res = resolve(candidates)
             if res.status == "identified":
                 book.known[off] = res.responder
                 events.append(Identification(name, res.responder, off, step))

@@ -226,6 +226,9 @@ class World:
         self.blocks: dict[Coord, Block] = {}
         self.links: set[frozenset[Coord]] = set()
         self.agents: dict[str, AgentState] = {}
+        # Occupant index: cell -> the agent standing there. Written only by
+        # _spawn_agent and _move_structure, the only places a position changes.
+        self._occupant: dict[Coord, AgentState] = {}
         self.tasks: dict[str, Task] = {}
         self.scores: dict[str, int] = {t: 0 for t in sorted(config.teams)}
         self.spawns: dict[str, Coord] = {}
@@ -362,16 +365,15 @@ class World:
     def _spawn_agent(self, name: str, team: str, cell: Coord) -> None:
         if self.terrain[cell] == OBSTACLE or self._agent_at(cell) is not None:
             raise WorldConfigError(f"spawn cell {cell} for {name} is not free")
-        self.agents[name] = AgentState(name, team, cell, self.config.initial_energy)
+        agent = AgentState(name, team, cell, self.config.initial_energy)
+        self.agents[name] = agent
+        self._occupant[cell] = agent
         self.spawns[name] = cell
 
     # ---------------------------------------------------------------- queries
 
     def _agent_at(self, cell: Coord) -> Optional[AgentState]:
-        for a in self.agents.values():
-            if a.pos == cell:
-                return a
-        return None
+        return self._occupant.get(cell)
 
     def _cell_free(self, cell: Coord, ignore: set[Coord]) -> bool:
         if self.terrain[cell] == OBSTACLE:
@@ -404,20 +406,28 @@ class World:
         things: list[Thing] = []
         terrain: list[tuple[Offset, str]] = []
         boards: list[Offset] = []
+        px, py = me.pos
+        w, h = self.dims
+        occupant, blocks, dispensers = self._occupant, self.blocks, self.dispensers
+        cells, taskboards = self.terrain, self.taskboards
         for off in DIAMOND:
-            cell = wrap(*add(me.pos, off), self.dims)
+            dx, dy = off
+            cell = ((px + dx) % w, (py + dy) % h)
+            # Test the offset, not the agent: on a side of at most
+            # 2 * VISION_RADIUS the diamond wraps onto the agent's own cell at
+            # a non-zero offset, and the agent lists itself there.
             if off != (0, 0):
-                other = self._agent_at(cell)
+                other = occupant.get(cell)
                 if other is not None:
                     things.append(Thing(off, "entity", other.team))
-            if cell in self.blocks:
-                things.append(Thing(off, "block", self.blocks[cell].type))
-            if cell in self.dispensers:
-                things.append(Thing(off, "dispenser", self.dispensers[cell]))
-            t = self.terrain[cell]
+            if cell in blocks:
+                things.append(Thing(off, "block", blocks[cell].type))
+            if cell in dispensers:
+                things.append(Thing(off, "dispenser", dispensers[cell]))
+            t = cells[cell]
             if t != EMPTY:
                 terrain.append((off, t))
-            if cell in self.taskboards:
+            if cell in taskboards:
                 boards.append(off)
         return Percept(
             self_energy=me.energy,
@@ -550,16 +560,20 @@ class World:
         for tgt in moves.values():
             if not self._cell_free(tgt, ignore=old_cells):
                 return False
-        new_blocks = {}
-        for c in agent.held:
-            new_blocks[moves[c]] = self.blocks.pop(c)
-        self.blocks.update(new_blocks)
-        new_links = set()
-        for link in self.links:
-            new_links.add(frozenset(moves.get(c, c) for c in link))
-        self.links = new_links
-        agent.held = {moves[c] for c in agent.held}
+        if agent.held:
+            new_blocks = {}
+            for c in agent.held:
+                new_blocks[moves[c]] = self.blocks.pop(c)
+            self.blocks.update(new_blocks)
+            # Links join block cells only: an empty-handed move leaves them
+            # all in place, and otherwise only links touching a moved cell change.
+            touched = [link for link in self.links if not link.isdisjoint(moves)]
+            self.links.difference_update(touched)
+            self.links.update(frozenset(moves.get(c, c) for c in link) for link in touched)
+            agent.held = {moves[c] for c in agent.held}
+        del self._occupant[agent.pos]
         agent.pos = moves[agent.pos]
+        self._occupant[agent.pos] = agent
         return True
 
     def _do_move(self, agent: AgentState, act: Action) -> str:
@@ -812,8 +826,10 @@ class World:
 
     def check_invariants(self) -> None:
         """Exhaustive consistency check; used by tests after every tick."""
+        assert len(self._occupant) == len(self.agents), "occupant index size differs from agent count"
         seen: dict[Coord, str] = {}
         for a in self.agents.values():
+            assert self._occupant.get(a.pos) is a, f"occupant index misses {a.name} at {a.pos}"
             assert a.pos == wrap(*a.pos, self.dims)
             assert self.terrain[a.pos] != OBSTACLE, f"{a.name} standing in an obstacle"
             assert a.pos not in seen, f"two agents on {a.pos}"
@@ -831,3 +847,4 @@ class World:
         for link in self.links:
             ca, cb = tuple(link)
             assert manhattan(delta(ca, cb, self.dims)) == 1, "link between non-adjacent cells"
+            assert ca in self.blocks and cb in self.blocks, "link to a cell without a block"

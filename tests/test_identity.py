@@ -1,10 +1,14 @@
 import random
 
+import pytest
 from conftest import scripted_world
 from torusarena.identity import (
+    Identification,
     IdentityBook,
     IdReply,
+    IdRequest,
     Resolution,
+    RoundStats,
     build_reply,
     identification_round,
     match_candidate,
@@ -13,7 +17,8 @@ from torusarena.identity import (
     resolve,
     unknown_team_entities,
 )
-from torusarena.torus import add, delta, wrap
+from torusarena.harness import PRESETS, MatchConfig
+from torusarena.torus import VISION_RADIUS, add, delta, neg, wrap
 from torusarena.world import Action, Thing, World, WorldConfig
 
 
@@ -188,3 +193,86 @@ def test_stale_replies_discarded(monkeypatch):
     observers = {e.observer for e in events}
     assert "alpha01" not in observers  # its only candidate replied stale
     assert ("alpha02", "alpha01") in {(e.observer, e.observed) for e in events}
+
+
+# --------------------------------------------------- brute-force reference
+
+
+def reference_matches_at(mine, reply, offset, team):
+    """`matches_at` written with `Thing`, `add` and `neg`, as an oracle."""
+    mirrored = neg(offset)
+    found_me = False
+    for t in reply.things:
+        if t.offset == mirrored and t.kind == "entity":
+            if t.detail != team:
+                return False
+            found_me = True
+            continue
+        mapped = add(t.offset, offset)
+        if abs(mapped[0]) + abs(mapped[1]) <= VISION_RADIUS:
+            if Thing(mapped, t.kind, t.detail) not in mine:
+                return False
+    return found_me
+
+
+def reference_round(team, percepts, books, step):
+    """Every responder tested at every sighting, with no index."""
+    stats = RoundStats()
+    events = []
+    replies = {name: build_reply(name, step, percepts[name]) for name in sorted(percepts)}
+    for name in sorted(percepts):
+        book = books[name]
+        book.start_round()
+        mine = set(percepts[name].things)
+        sightings = unknown_team_entities(percepts[name], team)
+        if not sightings:
+            continue
+        request = IdRequest(requester=name, step=step)
+        stats.broadcasts += 1
+        stats.replies += len(percepts) - 1
+        per_offset = {off: [] for off in sightings}
+        for responder in sorted(percepts):
+            if responder == name:
+                continue
+            reply = replies[responder]
+            if reply.step != request.step:
+                continue
+            for off in sightings:
+                if reference_matches_at(mine, reply, off, team):
+                    per_offset[off].append((responder, off))
+        for off in sightings:
+            res = resolve(per_offset[off])
+            if res.status == "identified":
+                book.known[off] = res.responder
+                events.append(Identification(name, res.responder, off, step))
+                stats.identifications += 1
+            elif res.status == "ambiguous":
+                book.pending.add(off)
+                stats.ambiguous += 1
+    return events, stats
+
+
+@pytest.mark.parametrize("preset", ["r1", "r3"])
+def test_indexed_round_equals_brute_force_reference(preset):
+    cfg = MatchConfig(seed=3, **PRESETS[preset])
+    world = World(cfg.world_config(), cfg.seed)
+    alpha = sorted(n for n, a in world.agents.items() if a.team == "alpha")
+    rng = random.Random(preset)
+    totals = RoundStats()
+    for step in range(15):
+        percepts = {n: world.percept(n) for n in alpha}
+        books = {n: IdentityBook() for n in alpha}
+        ref_books = {n: IdentityBook() for n in alpha}
+        events, stats = identification_round("alpha", percepts, books, step)
+        ref_events, ref_stats = reference_round("alpha", percepts, ref_books, step)
+        assert events == ref_events
+        assert stats == ref_stats
+        assert books == ref_books
+        for e in events:
+            observer, observed = world.agents[e.observer], world.agents[e.observed]
+            assert e.offset == delta(observer.pos, observed.pos, world.dims)
+        totals.identifications += stats.identifications
+        totals.ambiguous += stats.ambiguous
+        world.step({n: Action.move(rng.choice("nsew")) for n in world.agents})
+    assert totals.identifications > 50
+    assert totals.ambiguous > 0

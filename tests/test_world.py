@@ -80,6 +80,15 @@ class TestPercept:
         p = w.percept("alpha01")
         assert p.things == (Thing((5, 0), "dispenser", "b2"),)
 
+    def test_agent_sees_itself_across_a_narrow_grid(self):
+        # On a side of at most 2 * VISION_RADIUS the diamond wraps onto the
+        # agent's own cell at a non-zero offset, and the percept lists it.
+        w = scripted_world(5, 20, {"alpha": [(2, 10)]})
+        assert w.percept("alpha01").things == (
+            Thing((-5, 0), "entity", "alpha"),
+            Thing((5, 0), "entity", "alpha"),
+        )
+
 
 class TestMove:
     def test_move_north_wraps(self):
@@ -234,6 +243,24 @@ class TestBlocksAndTasks:
         w.step({"alpha01": Action.attach("s")})
         assert w.agents["alpha01"].held == {(3, 4), (3, 5)}
 
+    def test_links_follow_moves_and_rotations_of_their_holder(self):
+        w = scripted_world(
+            20,
+            20,
+            {"alpha": [(3, 3), (2, 5)]},
+            dispensers=[((3, 4), "b1"), ((3, 5), "b2")],
+        )
+        w.step({"alpha01": Action.request("s"), "alpha02": Action.request("e")})
+        w.step({"alpha01": Action.attach("s"), "alpha02": Action.attach("e")})
+        w.step({"alpha02": Action.connect("alpha01", (1, 0))})
+        w.step({"alpha01": Action.move("e")})
+        assert w.agents["alpha01"].held == {(4, 4), (4, 5)}
+        assert w.links == {frozenset(((4, 4), (4, 5)))}
+        w.step({"alpha01": Action.rotate("cw")})
+        assert w.agents["alpha01"].held == {(3, 3), (2, 3)}
+        assert w.links == {frozenset(((3, 3), (2, 3)))}
+        w.check_invariants()
+
     def test_task_expiry(self):
         w = scripted_world(
             20,
@@ -245,6 +272,79 @@ class TestBlocksAndTasks:
         for _ in range(4):
             w.step({})
         assert w.active_tasks() == []
+
+
+class TestOccupantIndex:
+    def assert_index(self, w):
+        w.check_invariants()
+        occupied = {a.pos: a for a in w.agents.values()}
+        for x in range(w.dims.w):
+            for y in range(w.dims.h):
+                assert w._agent_at((x, y)) is occupied.get((x, y))
+
+    def test_moves_rotations_and_blocked_moves(self):
+        w = scripted_world(
+            10,
+            10,
+            {"alpha": [(3, 3), (6, 6)], "beta": [(3, 1)]},
+            obstacles=[(4, 3)],
+            dispensers=[((3, 4), "b1")],
+        )
+        self.assert_index(w)
+        w.step({"alpha01": Action.request("s")})
+        w.step({"alpha01": Action.attach("s"), "alpha02": Action.move("w")})
+        assert w.agents["alpha02"].pos == (5, 6)
+        self.assert_index(w)
+        w.step({"alpha01": Action.rotate("cw")})
+        assert w.agents["alpha01"].held == {(2, 3)}
+        self.assert_index(w)
+        w.step({"alpha01": Action.move("e"), "beta01": Action.move("s")})
+        assert w.agents["alpha01"].last_result == ("move", "failed:blocked")
+        assert w.agents["beta01"].pos == (3, 2)
+        self.assert_index(w)
+        w.step({"alpha01": Action.move("n")})
+        assert w.agents["alpha01"].last_result == ("move", "failed:blocked")
+        w.step({"alpha01": Action.move("s"), "beta01": Action.move("w")})
+        assert w.agents["alpha01"].pos == (3, 4)
+        assert w.agents["beta01"].pos == (2, 2)
+        self.assert_index(w)
+
+    def test_index_holds_under_random_actions_and_clear_events(self):
+        cfg = WorldConfig(
+            dims=(12, 12),
+            teams={"alpha": 5, "beta": 5},
+            obstacle_density=0.15,
+            task_interval=0,
+            clear_event_rate=0.3,
+        )
+        w = World(cfg, 4)
+        rng = random.Random(8)
+        seen = set()
+        for _ in range(80):
+            actions = {
+                name: rng.choice(
+                    [
+                        Action.move(rng.choice(STEP_DIRS)),
+                        Action.rotate(rng.choice(["cw", "ccw"])),
+                        Action.request(rng.choice(STEP_DIRS)),
+                        Action.attach(rng.choice(STEP_DIRS)),
+                    ]
+                )
+                for name in w.agents
+            }
+            _, events = w.step(actions)
+            for e in events:
+                if e["type"] == "action":
+                    seen.add((e["action"].split()[0], e["result"]))
+                else:
+                    seen.add((e["type"], None))
+            self.assert_index(w)
+        assert {
+            ("move", "success"),
+            ("move", "failed:blocked"),
+            ("rotate", "success"),
+            ("clear_event", None),
+        } <= seen
 
 
 class TestFuzzInvariants:
