@@ -14,12 +14,12 @@ from pathlib import Path
 
 from .harness import (
     PRESETS,
-    TEAM,
     MatchConfig,
     MatchConfigError,
     ReplayError,
     cache_stats,
     log_digest,
+    play,
     replay,
     run_match,
 )
@@ -56,20 +56,23 @@ def _config_from(args) -> MatchConfig:
         preset = PRESETS[args.preset]
         cfg.team_size = preset["team_size"]
         cfg.dims = preset["dims"]
-    if args.dims:
+    if args.dims is not None:
         cfg.dims = args.dims
-    if args.team_size:
+    if args.team_size is not None:
         cfg.team_size = args.team_size
     cfg.cache_dir = args.cache_dir
     cfg.cache_readonly = args.cache_readonly
     return cfg
 
 
-def cmd_run(args) -> int:
-    cfg = _config_from(args)
-    report, log = run_match(cfg)
+def _write_log(args, log: list[str]) -> None:
     if args.log:
         Path(args.log).write_text("\n".join(log) + "\n")
+
+
+def cmd_run(args) -> int:
+    report, log = run_match(_config_from(args))
+    _write_log(args, log)
     out = report.to_dict()
     out["log_digest"] = log_digest(log)
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -122,22 +125,14 @@ def cmd_cache_stats(args) -> int:
 
 
 def cmd_export_map(args) -> int:
-    cfg = _config_from(args)
-    from .team import TeamController
-    from .world import World
-
-    world = World(cfg.world_config(), cfg.seed)
-    names = cfg.world_config().agent_names()
-    team = TeamController(TEAM, names[TEAM], cfg.seed)
-    percepts = world.percepts()
-    for step in range(cfg.steps):
-        actions = team.act({n: percepts[n] for n in names[TEAM]}, step)
-        percepts, _ = world.step(actions)
-    agent = args.agent or names[TEAM][0]
-    if agent not in team.store.maps:
+    match = play(_config_from(args))
+    _write_log(args, match.log)
+    maps = match.team.store.maps
+    agent = args.agent or match.team.names[0]
+    if agent not in maps:
         print(f"unknown agent {agent!r}", file=sys.stderr)
         return 1
-    print(dump_map(team.store.maps[agent]), end="")
+    print(dump_map(maps[agent]), end="")
     return 0
 
 
@@ -166,7 +161,7 @@ def main(argv=None) -> int:
     p_stats.add_argument("--cache-dir", required=True)
     p_stats.set_defaults(fn=cmd_cache_stats)
 
-    p_map = sub.add_parser("export-map", help="run briefly and dump one agent's map")
+    p_map = sub.add_parser("export-map", help="run a match and dump one agent's map")
     _add_match_args(p_map)
     p_map.add_argument("--agent", default=None)
     p_map.set_defaults(fn=cmd_export_map)

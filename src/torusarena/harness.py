@@ -18,7 +18,7 @@ from typing import Optional
 from .plan_cache import CacheStore, classify_key
 from .team import TeamController
 from .torus import Coord, DIRECTIONS, delta, torus_distance
-from .world import Action, FixedLayout, Percept, World, WorldConfig
+from .world import Action, FixedLayout, World, WorldConfig
 
 LOG_FORMAT_VERSION = 1
 TEAM = "alpha"
@@ -123,7 +123,7 @@ class IdleOpponent:
     def __init__(self, names, seed):
         self.names = names
 
-    def act(self, world: World, percepts: dict[str, Percept], step: int) -> dict[str, Action]:
+    def act(self, world: World, step: int) -> dict[str, Action]:
         return {}
 
 
@@ -132,7 +132,7 @@ class RandomWalkOpponent:
         self.names = sorted(names)
         self.rng = random.Random(f"{seed}:walk")
 
-    def act(self, world: World, percepts: dict[str, Percept], step: int) -> dict[str, Action]:
+    def act(self, world: World, step: int) -> dict[str, Action]:
         return {n: Action.move(self.rng.choice(DIRECTIONS)) for n in self.names}
 
 
@@ -150,13 +150,10 @@ class GreedyCourier:
         # cells), so the list is built on the first use and kept.
         self.goals: Optional[list[Coord]] = None
 
-    def act(self, world: World, percepts: dict[str, Percept], step: int) -> dict[str, Action]:
-        actions = {}
-        for name in self.names:
-            actions[name] = self._one(world, name, percepts[name])
-        return actions
+    def act(self, world: World, step: int) -> dict[str, Action]:
+        return {name: self._one(world, name) for name in self.names}
 
-    def _one(self, world: World, name: str, percept: Percept) -> Action:
+    def _one(self, world: World, name: str) -> Action:
         me = world.agents[name]
         phase = self.phase[name]
         if phase == "to_board":
@@ -240,7 +237,19 @@ OPPONENTS = {
 # ----------------------------------------------------------------- the match
 
 
-def run_match(config: MatchConfig) -> tuple[MatchReport, list[str]]:
+@dataclass
+class Match:
+    """A finished match: the world and team as the last step left them, and
+    the complete event log, footer included."""
+
+    world: World
+    team: TeamController
+    log: list[str]
+
+
+def play(config: MatchConfig) -> Match:
+    """Play a match to its end. The one step loop: `run` and `export-map`
+    both go through here."""
     config.validate()
     world = World(config.world_config(), config.seed)
     names = config.world_config().agent_names()
@@ -258,7 +267,6 @@ def run_match(config: MatchConfig) -> tuple[MatchReport, list[str]]:
         group_capacity=config.group_capacity,
     )
     opponent = OPPONENTS[config.opponent](names[OPPONENT], config.seed)
-    log: list[str] = []
     header = {
         "type": "header",
         "format": LOG_FORMAT_VERSION,
@@ -267,43 +275,39 @@ def run_match(config: MatchConfig) -> tuple[MatchReport, list[str]]:
         "steps": config.steps,
         "seed": config.seed,
     }
-    log.append(_dump(header))
+    log = [_dump(header)]
     percepts = world.percepts()
     for step in range(config.steps):
-        team_percepts = {n: percepts[n] for n in names[TEAM]}
-        opp_percepts = {n: percepts[n] for n in names[OPPONENT]}
-        actions = team.act(team_percepts, step)
-        actions.update(opponent.act(world, opp_percepts, step))
+        actions = team.act({n: percepts[n] for n in names[TEAM]}, step)
+        actions.update(opponent.act(world, step))
         percepts, world_events = world.step(actions)
-        for record in team.drain_events():
-            log.append(_dump(record))
-        for record in world_events:
-            log.append(_dump(record))
+        log.extend(_dump(record) for record in team.drain_events())
+        log.extend(_dump(record) for record in world_events)
     final = {
         "type": "final",
         "step": config.steps,
         "scores": dict(sorted(world.scores.items())),
     }
     log.append(_dump(final))
-    log.append(_dump({"type": "footer", "sha256": _digest(log)}))
-    report = _report_from_log(log)
-    return report, log
+    log.append(_dump({"type": "footer", "sha256": log_digest(log)}))
+    return Match(world, team, log)
+
+
+def run_match(config: MatchConfig) -> tuple[MatchReport, list[str]]:
+    log = play(config).log
+    return _report_from_log(log), log
 
 
 def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _digest(lines: list[str]) -> str:
+def log_digest(lines: list[str]) -> str:
     h = hashlib.sha256()
     for line in lines:
         h.update(line.encode())
         h.update(b"\n")
     return h.hexdigest()
-
-
-def log_digest(lines: list[str]) -> str:
-    return _digest(lines)
 
 
 def replay(lines: list[str]) -> MatchReport:
@@ -325,7 +329,7 @@ def replay(lines: list[str]) -> MatchReport:
         raise ReplayError("unreadable footer", last_step)
     if footer.get("type") != "footer":
         raise ReplayError("missing footer (truncated log)", _last_step(lines))
-    if footer.get("sha256") != _digest(lines[:-1]):
+    if footer.get("sha256") != log_digest(lines[:-1]):
         raise ReplayError("checksum failure", _last_step(lines))
     return _report_from_log(lines)
 

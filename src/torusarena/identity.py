@@ -17,15 +17,8 @@ from .world import Percept, Thing
 
 
 @dataclass(frozen=True)
-class IdRequest:
-    requester: str
-    step: int
-
-
-@dataclass(frozen=True)
 class IdReply:
     responder: str
-    step: int
     things: tuple[Thing, ...]
 
 
@@ -50,8 +43,8 @@ class Identification:
     step: int
 
 
-def build_reply(responder: str, step: int, percept: Percept) -> IdReply:
-    return IdReply(responder=responder, step=step, things=percept.things)
+def build_reply(responder: str, percept: Percept) -> IdReply:
+    return IdReply(responder=responder, things=percept.things)
 
 
 def unknown_team_entities(percept: Percept, team: str) -> list[Offset]:
@@ -131,7 +124,7 @@ def identification_round(
     stats = RoundStats()
     events: list[Identification] = []
     replies = {
-        name: build_reply(name, step, percepts[name]) for name in sorted(percepts)
+        name: build_reply(name, percepts[name]) for name in sorted(percepts)
     }
     # A responder can be the teammate I see at `off` only if it sees a
     # teammate at -off, so index the responders (in name order) by the
@@ -147,8 +140,7 @@ def identification_round(
         sightings = unknown_team_entities(percepts[name], team)
         if not sightings:
             continue
-        request = IdRequest(requester=name, step=step)  # one broadcast per agent per step
-        stats.broadcasts += 1
+        stats.broadcasts += 1  # one broadcast per agent per step
         stats.replies += len(percepts) - 1
         mine = frozenset(percepts[name].things)
         for off in sightings:
@@ -159,10 +151,7 @@ def identification_round(
             for responder in seen_at.get(neg(off), ()):
                 if responder == name:
                     continue
-                reply = replies[responder]
-                if reply.step != request.step:
-                    continue  # stale replies are discarded
-                if matches_at(mine, reply, off, team):
+                if matches_at(mine, replies[responder], off, team):
                     candidates.append((responder, off))
             res = resolve(candidates)
             if res.status == "identified":

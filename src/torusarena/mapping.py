@@ -279,9 +279,7 @@ def cartographer_action(
     charge a clear on obstacles or blocks, keep shoving against agents."""
     direction = state.direction_of(agent)
     ahead = DIR_OFFSETS[direction]
-    thing = percept.thing_at(ahead)
-    obstacle = any(off == ahead and kind == "obstacle" for off, kind in percept.terrain)
-    if obstacle or (thing is not None and thing.kind == "block"):
+    if ahead in percept.obstacles or ahead in percept.blocks:
         if percept.self_energy < clear_cost:
             return Action.skip()  # wait for recharge, then resume clearing
         return Action.clear(ahead)

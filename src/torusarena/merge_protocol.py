@@ -64,9 +64,6 @@ class ProtocolState:
     def offset_of(self, agent: str) -> Vec:
         return dict(self.offsets)[agent]
 
-    def local_view(self) -> dict[str, str]:
-        return dict(self.local)
-
     def group_of(self, leader: str) -> list[str]:
         return sorted(a for a, l in self.leaders if l == leader)
 

@@ -70,15 +70,12 @@ def build_problem(
     own = {off for off, _ in percept.self_attached}
     if len(own) > 1:
         raise ProblemError("planning supports at most one attached block")
-    blocked = {
-        t.offset for t in percept.things if t.kind in ("entity", "block") and t.offset not in own
-    }
-    obstacles = {off for off, kind in percept.terrain if kind == "obstacle"}
+    occupied, obstacles = percept.occupied, percept.obstacles
     labels = []
     for off in DIAMOND:
         if off == (0, 0) or off in own:
             labels.append(EMPTY)
-        elif off in blocked:
+        elif off in occupied:
             labels.append(BLOCKED)
         elif off in obstacles:
             labels.append(OBSTACLE)
@@ -98,8 +95,7 @@ def select_good_cell(
 ) -> Optional[Offset]:
     """Free diamond cell minimizing the remaining torus distance to the
     destination; ties break in diamond unrolling order."""
-    occupied = {t.offset for t in percept.things if t.kind in ("entity", "block")}
-    obstacles = {off for off, kind in percept.terrain if kind == "obstacle"}
+    occupied, obstacles = percept.occupied, percept.obstacles
     best: Optional[tuple[int, Offset]] = None
     for off in DIAMOND:
         if off == (0, 0) or off in occupied or off in obstacles:
@@ -323,8 +319,7 @@ def fallback_one_step(
     percept: Percept, self_pos: Coord, destination: Coord, dims: Dims
 ) -> Action:
     """One move that strictly reduces the torus distance, else skip."""
-    occupied = {t.offset for t in percept.things if t.kind in ("entity", "block")}
-    obstacles = {off for off, kind in percept.terrain if kind == "obstacle"}
+    occupied, obstacles = percept.occupied, percept.obstacles
     here = torus_distance(self_pos, destination, dims)
     for d in DIRECTIONS:
         off = DIR_OFFSETS[d]

@@ -700,9 +700,7 @@ class TeamController:
 
     def _free_ahead(self, percept: Percept, direction: str) -> bool:
         off = DIR_OFFSETS[direction]
-        if any(t.offset == off and t.kind in ("entity", "block") for t in percept.things):
-            return False
-        return not any(o == off and kind == "obstacle" for o, kind in percept.terrain)
+        return off not in percept.occupied and off not in percept.obstacles
 
     # -- bully
 
@@ -740,7 +738,7 @@ class TeamController:
     def _prey_block(self, percept: Percept) -> Optional[Offset]:
         """Block cell adjacent to an enemy entity, nearest first."""
         enemies = [t.offset for t in percept.things if t.kind == "entity" and t.detail != self.team]
-        blocks = {t.offset for t in percept.things if t.kind == "block"}
+        blocks = percept.blocks
         candidates = []
         for e in enemies:
             for c in CARDINALS:
@@ -824,10 +822,7 @@ class TeamController:
         """Bottom-most unoccupied goal cell of the cluster, judged from the
         origin's current view."""
         d = self.dims()
-        occupied = set()
-        for t in percept.things:
-            if t.kind in ("entity", "block"):
-                occupied.add(wrap(*add(pos, t.offset), d))
+        occupied = {wrap(*add(pos, off), d) for off in percept.occupied}
         for cell in sorted(group.goal_cluster, key=lambda c: (-c[1], c[0])):
             if cell not in occupied:
                 return cell
@@ -912,11 +907,7 @@ class TeamController:
         return wrap(*add(group.anchor, (0, -1)), d)
 
     def _cell_occupied(self, percept: Percept, pos: Coord, cell: Coord) -> bool:
-        d = self.dims()
-        off = delta(pos, cell, d)
-        if abs(off[0]) + abs(off[1]) > 5:
-            return False
-        return any(t.offset == off and t.kind in ("entity", "block") for t in percept.things)
+        return delta(pos, cell, self.dims()) in percept.occupied
 
     # -- retriever
 
@@ -953,7 +944,7 @@ class TeamController:
             if direction is None:
                 task.phase = "fetch"
                 return Action.skip()
-            if percept.thing_at(off) is not None and percept.thing_at(off).kind == "block":
+            if off in percept.blocks:
                 task.phase = "grab"
                 return Action.attach(direction)
             task.phase = "grab"
@@ -968,9 +959,7 @@ class TeamController:
                 if direction is None:
                     task.phase = "fetch"
                     return Action.skip()
-                if percept.thing_at(DIR_OFFSETS[direction]) and percept.thing_at(
-                    DIR_OFFSETS[direction]
-                ).kind == "block":
+                if DIR_OFFSETS[direction] in percept.blocks:
                     return Action.attach(direction)
                 return Action.request(direction)
         if task.phase == "deliver":

@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .torus import (
@@ -61,11 +62,20 @@ class Percept:
     tasks: tuple[Task, ...]
     last_action_result: Optional[tuple[str, str]]
 
-    def thing_at(self, off: Offset) -> Optional[Thing]:
-        for t in self.things:
-            if t.offset == off:
-                return t
-        return None
+    # Offset sets built on first use and kept with the snapshot; a cached
+    # property is stored outside the fields, so equality and hashing ignore it.
+    @cached_property
+    def occupied(self) -> frozenset[Offset]:
+        """Offsets holding an entity or a block."""
+        return frozenset(t.offset for t in self.things if t.kind in ("entity", "block"))
+
+    @cached_property
+    def blocks(self) -> frozenset[Offset]:
+        return frozenset(t.offset for t in self.things if t.kind == "block")
+
+    @cached_property
+    def obstacles(self) -> frozenset[Offset]:
+        return frozenset(off for off, kind in self.terrain if kind == OBSTACLE)
 
 
 @dataclass(frozen=True)

@@ -476,7 +476,7 @@ def test_criterion_8_bully_interception():
     cleared_step = None
     for step in range(30):
         actions = team.act({"alpha01": percepts["alpha01"]}, step)
-        actions.update(courier.act(world, {"beta01": percepts["beta01"]}, step))
+        actions.update(courier.act(world, step))
         percepts, events = world.step(actions)
         for e in events:
             if e["type"] == "clear_completed" and e["agent"] == "alpha01":

@@ -11,9 +11,11 @@ from torusarena.harness import (
     ReplayError,
     cache_stats,
     log_digest,
+    play,
     replay,
     run_match,
 )
+from torusarena.mapping import dump_map
 from torusarena.world import World, WorldConfig
 
 
@@ -141,10 +143,8 @@ class TestOpponents:
         )
         world = World(cfg, 0)
         courier = GreedyCourier(["beta01"], 0)
-        percepts = world.percepts()
         for step in range(60):
-            acts = courier.act(world, {"beta01": percepts["beta01"]}, step)
-            percepts, _ = world.step(acts)
+            world.step(courier.act(world, step))
             if world.agents["beta01"].pos == (10, 10) and world.agents["beta01"].held:
                 break
         assert world.agents["beta01"].pos == (10, 10)
@@ -256,6 +256,43 @@ class TestCli:
         rc = cli_main(["cache-stats", "--cache-dir", str(tmp_path)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["keys"] == 0
+
+    def test_team_size_zero_exits_1(self, capsys):
+        rc = cli_main(["run", "--team-size", "0", "--steps", "1"])
+        assert rc == 1
+        assert "team_size" in capsys.readouterr().err
+
+    def test_export_map_prints_the_map_of_the_played_match(self, capsys):
+        # With a moving opponent the world depends on its moves, so the map
+        # is only right if export-map plays the opponent as run does.
+        rc = cli_main(
+            ["export-map", "--dims", "20x20", "--team-size", "5", "--steps", "60",
+             "--seed", "1", "--opponent", "greedy-courier"]
+        )
+        assert rc == 0
+        cfg = MatchConfig(dims=(20, 20), team_size=5, steps=60, seed=1, opponent="greedy-courier")
+        assert capsys.readouterr().out == dump_map(play(cfg).team.store.maps["alpha01"])
+
+    def test_export_map_writes_the_log_and_cache_of_run(self, tmp_path, capsys):
+        match = ["--dims", "20x20", "--team-size", "3", "--steps", "40", "--seed", "3",
+                 "--opponent", "random-walk"]
+        for command in ("run", "export-map"):
+            where = tmp_path / command
+            where.mkdir()
+            rc = cli_main([command, *match, "--cache-dir", str(where / "cache"),
+                           "--log", str(where / "match.log")])
+            assert rc == 0
+        capsys.readouterr()
+        assert (tmp_path / "run" / "match.log").read_text() == (
+            tmp_path / "export-map" / "match.log"
+        ).read_text()
+        cached = sorted(p.name for p in (tmp_path / "run" / "cache").iterdir())
+        assert cached == sorted(p.name for p in (tmp_path / "export-map" / "cache").iterdir())
+
+    def test_export_map_bad_config_exits_1(self, capsys):
+        rc = cli_main(["export-map", "--steps", "0"])
+        assert rc == 1
+        assert "steps" in capsys.readouterr().err
 
     def test_export_map(self, capsys):
         rc = cli_main(

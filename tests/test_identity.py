@@ -6,7 +6,6 @@ from torusarena.identity import (
     Identification,
     IdentityBook,
     IdReply,
-    IdRequest,
     Resolution,
     RoundStats,
     build_reply,
@@ -37,7 +36,7 @@ class TestMatchCandidate:
     def test_two_agent_scenario_matches_with_context(self):
         w = fig1_world()
         p5, p3 = w.percept("alpha01"), w.percept("alpha02")
-        reply = build_reply("alpha02", 0, p3)
+        reply = build_reply("alpha02", p3)
         # The responder reports the dispenser at (-3,-2); mapped through the
         # candidate offset (4,0) it lands at (1,-2), inside my range because
         # |-3+4| + |-2+0| == 3 <= 5, and I do see it there.
@@ -49,7 +48,7 @@ class TestMatchCandidate:
     def test_reply_without_symmetric_entity(self):
         w = fig1_world()
         p5 = w.percept("alpha01")
-        reply = IdReply("alpha02", 0, (Thing((-3, -2), "dispenser", "b2"),))
+        reply = IdReply("alpha02", (Thing((-3, -2), "dispenser", "b2"),))
         assert match_candidate(p5.things, reply, "alpha") is None
 
     def test_reply_thing_missing_from_my_view_rejects(self):
@@ -59,7 +58,6 @@ class TestMatchCandidate:
         # at (2,-2) but do not.
         reply = IdReply(
             "alpha02",
-            0,
             (Thing((-4, 0), "entity", "alpha"), Thing((-2, -2), "dispenser", "b2")),
         )
         assert matches_at(p5.things, reply, (4, 0), "alpha") is False
@@ -70,7 +68,6 @@ class TestMatchCandidate:
         p5 = w.percept("alpha01")
         reply = IdReply(
             "alpha02",
-            0,
             (Thing((-4, 0), "entity", "alpha"), Thing((5, 0), "dispenser", "b1")),
         )
         # (5,0) maps to (9,0): far outside my diamond, so no veto.
@@ -79,7 +76,7 @@ class TestMatchCandidate:
     def test_enemy_entity_at_mirror_rejected(self):
         w = fig1_world()
         p5 = w.percept("alpha01")
-        reply = IdReply("alpha02", 0, (Thing((-4, 0), "entity", "beta"),))
+        reply = IdReply("alpha02", (Thing((-4, 0), "entity", "beta"),))
         assert match_candidate(p5.things, reply, "alpha") is None
 
 
@@ -172,29 +169,6 @@ def test_unknown_entities_filter():
     assert unknown_team_entities(p, "alpha") == [(3, 0)]
 
 
-def test_stale_replies_discarded(monkeypatch):
-    # A reply tagged with an earlier step must be ignored even if its
-    # content would match.
-    import torusarena.identity as identity
-
-    w = scripted_world(30, 30, {"alpha": [(5, 5), (9, 5)]})
-    real_build = identity.build_reply
-
-    def stale_build(responder, step, percept):
-        reply = real_build(responder, step, percept)
-        if responder == "alpha02":
-            return IdReply(responder=reply.responder, step=step - 1, things=reply.things)
-        return reply
-
-    monkeypatch.setattr(identity, "build_reply", stale_build)
-    percepts = {n: w.percept(n) for n in ("alpha01", "alpha02")}
-    books = {n: IdentityBook() for n in percepts}
-    events, _ = identification_round("alpha", percepts, books, step=4)
-    observers = {e.observer for e in events}
-    assert "alpha01" not in observers  # its only candidate replied stale
-    assert ("alpha02", "alpha01") in {(e.observer, e.observed) for e in events}
-
-
 # --------------------------------------------------- brute-force reference
 
 
@@ -219,7 +193,7 @@ def reference_round(team, percepts, books, step):
     """Every responder tested at every sighting, with no index."""
     stats = RoundStats()
     events = []
-    replies = {name: build_reply(name, step, percepts[name]) for name in sorted(percepts)}
+    replies = {name: build_reply(name, percepts[name]) for name in sorted(percepts)}
     for name in sorted(percepts):
         book = books[name]
         book.start_round()
@@ -227,7 +201,6 @@ def reference_round(team, percepts, books, step):
         sightings = unknown_team_entities(percepts[name], team)
         if not sightings:
             continue
-        request = IdRequest(requester=name, step=step)
         stats.broadcasts += 1
         stats.replies += len(percepts) - 1
         per_offset = {off: [] for off in sightings}
@@ -235,8 +208,6 @@ def reference_round(team, percepts, books, step):
             if responder == name:
                 continue
             reply = replies[responder]
-            if reply.step != request.step:
-                continue
             for off in sightings:
                 if reference_matches_at(mine, reply, off, team):
                     per_offset[off].append((responder, off))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import scripted_world
+from torusarena.harness import PRESETS, GreedyCourier, MatchConfig
 from torusarena.world import Action, Thing, World, WorldConfig, WorldConfigError
 
 STEP_DIRS = ["n", "s", "e", "w"]
@@ -88,6 +89,49 @@ class TestPercept:
             Thing((-5, 0), "entity", "alpha"),
             Thing((5, 0), "entity", "alpha"),
         )
+
+
+class TestPerceptQuery:
+    """`occupied`, `blocks` and `obstacles` against the scans they replace."""
+
+    @staticmethod
+    def scans(p):
+        return (
+            {t.offset for t in p.things if t.kind in ("entity", "block")},
+            {t.offset for t in p.things if t.kind == "block"},
+            {off for off, kind in p.terrain if kind == "obstacle"},
+        )
+
+    def test_sets_equal_the_scans_on_seeded_r1_percepts(self):
+        # Couriers on both teams request their first block by step 8.
+        cfg = MatchConfig(seed=1, **PRESETS["r1"])
+        w = World(cfg.world_config(), cfg.seed)
+        couriers = GreedyCourier(list(w.agents), cfg.seed)
+        seen = [0, 0, 0]
+        for step in range(12):
+            for p in w.percepts().values():
+                expected = self.scans(p)
+                assert (p.occupied, p.blocks, p.obstacles) == expected
+                for i, cells in enumerate(expected):
+                    seen[i] += len(cells)
+            w.step(couriers.act(w, step))
+        assert all(seen), seen  # every set was non-empty somewhere
+
+    def test_block_on_a_dispenser(self):
+        w = scripted_world(
+            20, 20, {"alpha": [(3, 3)]}, obstacles=[(3, 5)], dispensers=[((4, 3), "b1")]
+        )
+        w.step({"alpha01": Action.request("e")})
+        p = w.percept("alpha01")
+        assert p.things == (Thing((1, 0), "block", "b1"), Thing((1, 0), "dispenser", "b1"))
+        assert (p.occupied, p.blocks, p.obstacles) == self.scans(p)
+        assert p.blocks == {(1, 0)} and p.obstacles == {(0, 2)}
+
+    def test_cached_sets_leave_equality_and_hash_alone(self):
+        w = scripted_world(20, 20, {"alpha": [(3, 3), (5, 3)]}, obstacles=[(3, 5)])
+        p, fresh = w.percept("alpha01"), w.percept("alpha01")
+        assert p.occupied == {(2, 0)} and p.obstacles == {(0, 2)}
+        assert p == fresh and hash(p) == hash(fresh)
 
 
 class TestMove:
