@@ -9,7 +9,7 @@ vision diamonds before demanding agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Container, Optional
 
 from .torus import VISION_RADIUS, Offset, neg
@@ -20,19 +20,6 @@ from .world import Percept, Thing
 class IdReply:
     responder: str
     things: tuple[Thing, ...]
-
-
-@dataclass
-class IdentityBook:
-    """Per-agent identification state for the current round, plus the
-    sightings left ambiguous (retried simply because every round re-checks)."""
-
-    known: dict[Offset, str] = field(default_factory=dict)
-    pending: set[Offset] = field(default_factory=set)
-
-    def start_round(self) -> None:
-        self.known.clear()
-        self.pending.clear()
 
 
 @dataclass(frozen=True)
@@ -113,7 +100,6 @@ class RoundStats:
 def identification_round(
     team: str,
     percepts: dict[str, Percept],
-    books: dict[str, IdentityBook],
     step: int,
 ) -> tuple[list[Identification], RoundStats]:
     """Simulate one synchronous broadcast/reply exchange for a whole team.
@@ -135,8 +121,6 @@ def identification_round(
             if t.kind == "entity" and t.detail == team:
                 seen_at.setdefault(t.offset, []).append(responder)
     for name in sorted(percepts):
-        book = books[name]
-        book.start_round()
         sightings = unknown_team_entities(percepts[name], team)
         if not sightings:
             continue
@@ -155,11 +139,9 @@ def identification_round(
                     candidates.append((responder, off))
             res = resolve(candidates)
             if res.status == "identified":
-                book.known[off] = res.responder
                 events.append(Identification(name, res.responder, off, step))
                 stats.identifications += 1
             elif res.status == "ambiguous":
-                book.pending.add(off)
                 stats.ambiguous += 1
     return events, stats
 

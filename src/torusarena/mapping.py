@@ -131,7 +131,6 @@ class MapStore:
         self.offsets: dict[str, Vec] = {a: (0, 0) for a in self.agents}
         self.dims: Optional[Dims] = None
         self.pending: list[Sighting] = []
-        self.merge_count = 0
 
     # ------------------------------------------------------------- structure
 
@@ -191,7 +190,6 @@ class MapStore:
         before = set(self.group_members(winner))
         self.leaders = dict(final.leaders)
         self.offsets = dict(final.offsets)
-        self.merge_count += 1
         absorbed = tuple(a for a in self.group_members(winner) if a not in before)
         self.check_one_leader()
         return MergeRecord(s, winner, absorbed, tuple(transcript))
@@ -217,8 +215,6 @@ class CartographyState:
     steps_a: int = 0
     steps_b: int = 0
     status: str = "active"  # active | finished
-    size: Optional[int] = None
-    adopted_step: int = 0
     last_seen_step: int = 0
 
     def direction_of(self, agent: str) -> str:
@@ -254,7 +250,6 @@ def adopt_cartographers(
         dimension=dimension,
         pair=(a, b),
         initial_distance=along,
-        adopted_step=step,
         last_seen_step=step,
     )
 

@@ -36,11 +36,9 @@ class KeyFormatError(ValueError):
         self.reason = reason
 
 
-def encode(problem: Problem, merge_block_codes: bool = False) -> str:
-    """Canonical key of a problem. `merge_block_codes` folds blocks into the
-    obstacle code (a published after-the-fact shrink option, off by default)."""
-    block_char = "1" if merge_block_codes else "2"
-    codes = {EMPTY: "0", OBSTACLE: "1", BLOCKED: block_char}
+def encode(problem: Problem) -> str:
+    """Canonical key of a problem."""
+    codes = {EMPTY: "0", OBSTACLE: "1", BLOCKED: "2"}
     prefix = ""
     if problem.attached is not None:
         prefix = f"{problem.attached[0]}{problem.attached[1]}"
@@ -51,7 +49,7 @@ def encode(problem: Problem, merge_block_codes: bool = False) -> str:
 
 
 def decode_key(key: str) -> Problem:
-    """Inverse of encode (blocks kept as code 2). Rejects malformed keys with
+    """Inverse of encode. Rejects malformed keys with
     the position of the first offending character."""
     if not key or key[0] not in ("c", "n"):
         raise KeyFormatError(0, "flag must be 'c' or 'n'")
@@ -162,10 +160,9 @@ def solve_cached(
     problem: Problem,
     store: CacheStore,
     solver: Callable[[Problem], Plan],
-    merge_block_codes: bool = False,
 ) -> tuple[Plan, str]:
     """Fetch by key or solve and persist; the outcome tag is 'hit' or 'miss'."""
-    key = encode(problem, merge_block_codes)
+    key = encode(problem)
     cached = store.lookup(key)
     if cached is not None:
         return cached, "hit"

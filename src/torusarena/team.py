@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .identity import IdentityBook, identification_round, mutual_pairs
+from .identity import identification_round, mutual_pairs
 from .mapping import (
     CartographyFault,
     CartographyState,
@@ -61,6 +61,10 @@ RETRIEVERS_PER_GROUP = 12
 RELOCATE_AFTER = 40
 MAX_BOUNCERS = 2
 STALL_REASSIGN = 20
+
+# Where the deliverer waits for the swap: the anchor's non-south neighbours
+# (the structure hangs south of the anchor).
+WAIT_OFFSETS = ((0, -1), (1, 0), (-1, 0))
 
 # Radius-2 patrol ring, clockwise from north.
 PATROL_RING = ((0, -2), (1, -1), (2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1))
@@ -122,9 +126,7 @@ class TaskGroup:
     next_deliverer: Optional[str] = None
     origin_anchored: bool = False
     deliverer_ready: bool = False
-    deliverer_in_place: bool = False
-    structure_complete: bool = False
-    swap_phase: str = "none"  # none | detaching | detached | vacating | vacated | entering | entered | attaching | attached
+    swap_phase: str = "none"  # none | detached | entered | attached
 
     def requirement_list(self) -> list[tuple[Offset, str]]:
         """Requirements ordered so each block is cardinally adjacent to the
@@ -176,27 +178,21 @@ class TeamController:
         cache: Optional[CacheStore] = None,
         clear_cost: int = 30,
         group_capacity: int = GROUP_CAPACITY,
-        max_bouncers: int = MAX_BOUNCERS,
     ):
         self.team = team
         self.names = sorted(names)
         self.rng = random.Random(f"{seed}:{team}")
         self.store = MapStore(self.names)
-        self.books = {n: IdentityBook() for n in self.names}
         self.cache = cache
         self.clear_cost = clear_cost
         self.group_capacity = group_capacity
-        self.max_bouncers = max_bouncers
         self.width: Optional[int] = None
         self.height: Optional[int] = None
         self.carto: dict[str, CartographyState] = {}
         self.groups: list[TaskGroup] = []
         self.building = False
         self.bouncer_count = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.solver_calls = 0
-        self.identification_count = 0
         self.events: list[dict] = []
         self._step = 0
         self.runtimes = {
@@ -217,10 +213,6 @@ class TeamController:
             self._emit(self._step, "plan", outcome="solve")
             return solve(problem)
         plan, outcome = solve_cached(problem, self.cache, self._counted_solve)
-        if outcome == "hit":
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
         self._emit(self._step, "plan", outcome=outcome)
         return plan
 
@@ -251,8 +243,7 @@ class TeamController:
         self._note_results(percepts)
         for name in self.names:
             record_statics(self.store.maps[name], percepts[name])
-        idents, _stats = identification_round(self.team, percepts, self.books, step)
-        self.identification_count += len(idents)
+        idents, _stats = identification_round(self.team, percepts, step)
         if idents:
             self._emit(step, "identification", count=len(idents))
         pairs = mutual_pairs(idents)
@@ -295,6 +286,8 @@ class TeamController:
                         state.steps_a += 1
                     else:
                         state.steps_b += 1
+            elif last == ("accept", "success"):
+                rt.accepted_tasks.add(rt.last_action.task)
 
     # ------------------------------------------------------------ cartography
 
@@ -323,7 +316,6 @@ class TeamController:
                 self._abort_pair(state, step)
                 continue
             state.status = "finished"
-            state.size = size
             if state.dimension == "horizontal":
                 self.width = size
             else:
@@ -575,7 +567,6 @@ class TeamController:
         group.assignments = {}
         group.staged = set()
         group.swap_phase = "none"
-        group.structure_complete = False
         reqs = group.requirement_list()
         available = [r for r in group.retrievers]
         for slot, (off, btype) in enumerate(reqs):
@@ -589,41 +580,32 @@ class TeamController:
         group.active_task = None
         group.assignments = {}
         group.staged = set()
-        group.structure_complete = False
         group.swap_phase = "none"
         for name in group.retrievers:
             self.runtimes[name].fetch = None
 
     def _update_swap(self, group: TaskGroup, percepts, step: int) -> None:
-        if group.active_task is None or group.origin is None:
+        """The one place the swap changes phase, each time on a fact the world
+        confirmed: the origin's detach, the deliverer standing on the anchor,
+        the deliverer's attach, its submit."""
+        if group.active_task is None:
             return
-        d = self.dims()
-        if group.swap_phase == "none":
-            attached = set(percepts[group.origin].self_attached)
-            group.structure_complete = attached == set(group.active_task.requirements)
-        if group.deliverer is not None and group.anchor is not None:
-            dpos = self.position_of(group.deliverer)
-            waits = {wrap(*add(group.anchor, off), d) for off in ((0, -1), (1, 0), (-1, 0))}
-            group.deliverer_in_place = dpos in waits
         origin_result = percepts[group.origin].last_action_result
-        deliverer_result = (
-            percepts[group.deliverer].last_action_result if group.deliverer else None
-        )
-        if group.swap_phase == "detaching" and origin_result == ("detach", "success"):
+        deliverer_result = percepts[group.deliverer].last_action_result
+        if group.swap_phase == "none" and origin_result == ("detach", "success"):
             group.swap_phase = "detached"
-        if group.swap_phase == "vacating" and origin_result == ("move", "success"):
-            group.swap_phase = "vacated"
-        if (
-            group.swap_phase in ("detached", "vacated", "entering")
-            and group.deliverer is not None
-            and self.position_of(group.deliverer) == group.anchor
-        ):
+        if group.swap_phase == "detached" and self.position_of(group.deliverer) == group.anchor:
             group.swap_phase = "entered"
-        if group.swap_phase == "attaching" and deliverer_result == ("attach", "success"):
+        if group.swap_phase == "entered" and deliverer_result == ("attach", "success"):
             group.swap_phase = "attached"
         if deliverer_result == ("submit", "success"):
             self._emit(step, "task_submitted", group=group.gid, task=group.active_task.name)
             self._rotate_roles(group, step)
+
+    def _deliverer_in_place(self, group: TaskGroup) -> bool:
+        d = self.dims()
+        waits = {wrap(*add(group.anchor, off), d) for off in WAIT_OFFSETS}
+        return self.position_of(group.deliverer) in waits
 
     def _rotate_roles(self, group: TaskGroup, step: int) -> None:
         old_origin, old_deliverer = group.origin, group.deliverer
@@ -669,7 +651,7 @@ class TeamController:
     # -- explorer
 
     def _explorer_policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
-        if not self.building and self.bouncer_count < self.max_bouncers:
+        if not self.building and self.bouncer_count < MAX_BOUNCERS:
             goal_offs = [off for off, kind in percept.terrain if kind == "goal"]
             if goal_offs:
                 rt.role = BULLY_BOUNCER
@@ -805,16 +787,22 @@ class TeamController:
         if group.anchor is None:
             return self._explorer_policy(rt, percept, step)
         pos = self.position_of(rt.name)
+        if group.swap_phase == "detached" and pos == group.anchor:
+            return self._vacate(group, percept, pos)
         if group.swap_phase != "none":
-            return self._origin_swap_action(group, percept, pos)
+            return Action.skip()
         if pos != group.anchor:
             nav = self._navigator(rt)
             nav.set_destination(self._free_anchor(group, percept, pos))
             return nav.next_action(percept, pos, self.dims())
         # Detach only once the deliverer stands ready beside the anchor: the
         # unattached window is the one moment an enemy can steal the build.
-        if group.structure_complete and group.deliverer_in_place:
-            group.swap_phase = "detaching"
+        task = group.active_task
+        if (
+            task is not None
+            and set(percept.self_attached) == set(task.requirements)
+            and self._deliverer_in_place(group)
+        ):
             return Action.detach("s")
         return Action.skip()
 
@@ -828,21 +816,15 @@ class TeamController:
                 return cell
         return group.anchor
 
-    def _origin_swap_action(self, group: TaskGroup, percept: Percept, pos: Coord) -> Action:
-        if group.swap_phase == "detaching":
-            return Action.detach("s")
-        if group.swap_phase in ("detached", "vacating"):
-            group.swap_phase = "vacating"
-            deliverer_pos = self.position_of(group.deliverer) if group.deliverer else None
-            d = self.dims()
-            for direction in ("n", "e", "w"):
-                off = DIR_OFFSETS[direction]
-                cell = wrap(*add(pos, off), d)
-                if deliverer_pos is not None and cell == deliverer_pos:
-                    continue
-                if self._free_ahead(percept, direction):
-                    return Action.move(direction)
-            return Action.skip()
+    def _vacate(self, group: TaskGroup, percept: Percept, pos: Coord) -> Action:
+        """Step off the anchor to the north, east or west, never onto the
+        deliverer's cell."""
+        deliverer_pos = self.position_of(group.deliverer)
+        d = self.dims()
+        for direction in ("n", "e", "w"):
+            cell = wrap(*add(pos, DIR_OFFSETS[direction]), d)
+            if cell != deliverer_pos and self._free_ahead(percept, direction):
+                return Action.move(direction)
         return Action.skip()
 
     # -- deliverer
@@ -861,44 +843,33 @@ class TeamController:
             return Action.skip()
         if group.active_task.name not in rt.accepted_tasks:
             if torus_distance(pos, group.taskboard, d) <= 2:
-                rt.accepted_tasks.add(group.active_task.name)
                 return Action.accept(group.active_task.name)
             nav = self._navigator(rt)
             nav.set_destination(group.taskboard)
             return nav.next_action(percept, pos, d)
-        # Swap choreography: travel to a non-south neighbor of the anchor
-        # while the structure is being built, slip in once the origin
-        # detaches and vacates, attach, submit.
-        if group.swap_phase in ("none", "detaching") and not group.deliverer_in_place:
+        # Swap choreography: wait beside the anchor while the structure is
+        # built, step onto it once the origin has detached, attach, submit.
+        if group.swap_phase == "none":
+            if self._deliverer_in_place(group):
+                return Action.skip()
             nav = self._navigator(rt)
             nav.set_destination(self._swap_wait_cell(group, percept, pos))
             return nav.next_action(percept, pos, d)
-        if group.swap_phase in ("none", "detaching"):
-            return Action.skip()
-        if group.swap_phase in ("detached", "vacating", "vacated", "entering"):
-            if pos == group.anchor:
-                group.swap_phase = "entered"
-            else:
-                group.swap_phase = "entering"
-                step_dir = OFFSET_DIRS.get(delta(pos, group.anchor, d))
-                if step_dir is not None:
-                    return Action.move(step_dir)
-                nav = self._navigator(rt)
-                nav.set_destination(group.anchor)
-                return nav.next_action(percept, pos, d)
+        if group.swap_phase == "detached":
+            step_dir = OFFSET_DIRS.get(delta(pos, group.anchor, d))
+            if step_dir is not None:
+                return Action.move(step_dir)
+            nav = self._navigator(rt)
+            nav.set_destination(group.anchor)
+            return nav.next_action(percept, pos, d)
         if group.swap_phase == "entered":
-            group.swap_phase = "attaching"
             return Action.attach("s")
-        if group.swap_phase == "attaching":
-            return Action.attach("s")
-        if group.swap_phase == "attached":
-            return Action.submit(group.active_task.name)
-        return Action.skip()
+        return Action.submit(group.active_task.name)
 
     def _swap_wait_cell(self, group: TaskGroup, percept: Percept, pos: Coord) -> Coord:
         """Cell adjacent to the origin that is not below it."""
         d = self.dims()
-        for off in ((0, -1), (1, 0), (-1, 0)):
+        for off in WAIT_OFFSETS:
             cell = wrap(*add(group.anchor, off), d)
             if cell == pos:
                 return cell

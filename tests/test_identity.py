@@ -4,7 +4,6 @@ import pytest
 from conftest import scripted_world
 from torusarena.identity import (
     Identification,
-    IdentityBook,
     IdReply,
     Resolution,
     RoundStats,
@@ -95,8 +94,7 @@ class TestRound:
     def run_round(self, world, team):
         names = [n for n, a in world.agents.items() if a.team == team]
         percepts = {n: world.percept(n) for n in names}
-        books = {n: IdentityBook() for n in names}
-        return identification_round(team, percepts, books, world.step_num)
+        return identification_round(team, percepts, world.step_num)
 
     def test_two_agents_identify_each_other_in_one_round(self):
         events, stats = self.run_round(fig1_world(), "alpha")
@@ -154,8 +152,7 @@ class TestRound:
             w = World(cfg, trial)
             names = [n for n, a in w.agents.items() if a.team == "alpha"]
             percepts = {n: w.percept(n) for n in names}
-            books = {n: IdentityBook() for n in names}
-            events, _ = identification_round("alpha", percepts, books, 0)
+            events, _ = identification_round("alpha", percepts, 0)
             for e in events:
                 sightings += 1
                 true_cell = wrap(*add(w.agents[e.observer].pos, e.offset), w.dims)
@@ -189,14 +186,12 @@ def reference_matches_at(mine, reply, offset, team):
     return found_me
 
 
-def reference_round(team, percepts, books, step):
+def reference_round(team, percepts, step):
     """Every responder tested at every sighting, with no index."""
     stats = RoundStats()
     events = []
     replies = {name: build_reply(name, percepts[name]) for name in sorted(percepts)}
     for name in sorted(percepts):
-        book = books[name]
-        book.start_round()
         mine = set(percepts[name].things)
         sightings = unknown_team_entities(percepts[name], team)
         if not sightings:
@@ -214,11 +209,9 @@ def reference_round(team, percepts, books, step):
         for off in sightings:
             res = resolve(per_offset[off])
             if res.status == "identified":
-                book.known[off] = res.responder
                 events.append(Identification(name, res.responder, off, step))
                 stats.identifications += 1
             elif res.status == "ambiguous":
-                book.pending.add(off)
                 stats.ambiguous += 1
     return events, stats
 
@@ -232,13 +225,10 @@ def test_indexed_round_equals_brute_force_reference(preset):
     totals = RoundStats()
     for step in range(15):
         percepts = {n: world.percept(n) for n in alpha}
-        books = {n: IdentityBook() for n in alpha}
-        ref_books = {n: IdentityBook() for n in alpha}
-        events, stats = identification_round("alpha", percepts, books, step)
-        ref_events, ref_stats = reference_round("alpha", percepts, ref_books, step)
+        events, stats = identification_round("alpha", percepts, step)
+        ref_events, ref_stats = reference_round("alpha", percepts, step)
         assert events == ref_events
         assert stats == ref_stats
-        assert books == ref_books
         for e in events:
             observer, observed = world.agents[e.observer], world.agents[e.observed]
             assert e.offset == delta(observer.pos, observed.pos, world.dims)

@@ -64,10 +64,10 @@ class TestEncode:
         assert encode(make_problem(goal=(0, -5), clear=True))[0] == "c"
         assert encode(make_problem(goal=(0, -5), clear=False))[0] == "n"
 
-    def test_merged_block_coding_toggle(self):
+    def test_blocked_cell_encodes_as_2(self):
         p = make_problem(blocked=[(1, 0)], goal=(0, -5))
-        assert "2" in encode(p)
-        assert "2" not in encode(p, merge_block_codes=True)
+        assert encode(p)[1 + DIAMOND.index((1, 0))] == "2"
+        assert encode(p).count("2") == 1
 
     def test_key_is_filesystem_safe(self):
         p = make_problem(goal=(0, -5), attached=(0, -1), clear=True)

@@ -7,6 +7,7 @@ from torusarena.team import (
     EXPLORER,
     ORIGIN,
     RETRIEVER,
+    TaskGroup,
     TeamController,
     bottom_most,
     form_groups,
@@ -14,7 +15,7 @@ from torusarena.team import (
     select_task,
 )
 from torusarena.torus import Dims, sub
-from torusarena.world import Task, World, WorldConfig
+from torusarena.world import Action, Task, World, WorldConfig
 
 
 class TestGroupArithmetic:
@@ -270,3 +271,39 @@ def test_integration_building_and_task_selection():
     assert "cartography_finished" in seen
     assert "building_started" in seen
     assert "task_selected" in seen
+
+
+def test_failed_accept_is_not_counted_as_accepted():
+    # The world has no taskboard, so every accept fails; the team believes
+    # its deliverer stands on one.
+    world = scripted_world(
+        30, 30, {"alpha": [(5, 5), (20, 20)]}, tasks=[(0, "t1", 10, 200, [((0, 1), "b1")])]
+    )
+    team = TeamController("alpha", ["alpha01", "alpha02"], seed=0)
+    team.width, team.height = 30, 30
+    team.store.set_dims(world.dims)
+    team.building = True
+    percepts = world.percepts()
+    task = percepts["alpha02"].tasks[0]
+    team.groups = [
+        TaskGroup(
+            gid=0,
+            members=["alpha01", "alpha02"],
+            origin="alpha01",
+            deliverer="alpha02",
+            goal_cluster=[(3, 3)],
+            anchor=(3, 3),
+            taskboard=team.position_of("alpha02"),
+            active_task=task,
+        )
+    ]
+    for name, role in (("alpha01", ORIGIN), ("alpha02", DELIVERER)):
+        team.runtimes[name].role = role
+        team.runtimes[name].group = 0
+    deliverer = team.runtimes["alpha02"]
+    for step in range(2):
+        actions = team.act(percepts, step)
+        assert actions["alpha02"] == Action.accept(task.name)
+        percepts, _ = world.step(actions)
+        assert percepts["alpha02"].last_action_result == ("accept", "failed:too_far")
+        assert task.name not in deliverer.accepted_tasks
