@@ -17,8 +17,8 @@ from typing import Optional
 
 from .plan_cache import CacheStore, classify_key
 from .team import TeamController
-from .torus import Coord, DIRECTIONS, delta, torus_distance
-from .world import Action, FixedLayout, World, WorldConfig
+from .torus import DIRECTIONS, OFFSET_DIRS, Coord, delta, torus_distance
+from .world import ACCEPT_RADIUS, Action, FixedLayout, World, WorldConfig
 
 LOG_FORMAT_VERSION = 1
 TEAM = "alpha"
@@ -160,7 +160,7 @@ class GreedyCourier:
             board = self._nearest(world, me.pos, world.taskboards)
             if board is None or not world.active_tasks():
                 return Action.skip()
-            if torus_distance(me.pos, board, world.dims) <= world.config.accept_radius:
+            if torus_distance(me.pos, board, world.dims) <= ACCEPT_RADIUS:
                 self.task[name] = world.active_tasks()[0].name
                 self.phase[name] = "to_dispenser"
                 return Action.accept(self.task[name])
@@ -171,7 +171,7 @@ class GreedyCourier:
                 return Action.skip()
             off = delta(me.pos, disp, world.dims)
             if abs(off[0]) + abs(off[1]) == 1:
-                direction = _dir_of(off)
+                direction = OFFSET_DIRS[off]
                 if disp in world.blocks:
                     self.phase[name] = "grab"
                     return Action.attach(direction)
@@ -184,7 +184,7 @@ class GreedyCourier:
                 disp = self._nearest(world, me.pos, world.dispensers.keys())
                 off = delta(me.pos, disp, world.dims)
                 if abs(off[0]) + abs(off[1]) == 1:
-                    return Action.attach(_dir_of(off))
+                    return Action.attach(OFFSET_DIRS[off])
                 self.phase[name] = "to_dispenser"
                 return Action.skip()
         if phase == "to_goal":
@@ -223,10 +223,6 @@ class GreedyCourier:
         return Action.skip()
 
 
-def _dir_of(off) -> str:
-    return {(0, -1): "n", (0, 1): "s", (1, 0): "e", (-1, 0): "w"}[off]
-
-
 OPPONENTS = {
     "idle": IdleOpponent,
     "random-walk": RandomWalkOpponent,
@@ -263,7 +259,6 @@ def play(config: MatchConfig) -> Match:
         names[TEAM],
         config.seed,
         cache=cache,
-        clear_cost=world.config.clear_cost,
         group_capacity=config.group_capacity,
     )
     opponent = OPPONENTS[config.opponent](names[OPPONENT], config.seed)

@@ -61,17 +61,6 @@ def matches_at(mine: Container[Thing], reply: IdReply, offset: Offset, team: str
     return found_me
 
 
-def match_candidate(my_things: tuple[Thing, ...], reply: IdReply, team: str) -> Optional[Offset]:
-    """Offset of the responder relative to me, if it is unambiguous.
-
-    None when no observed teammate matches the reply, and also when more than
-    one does (the conservative choice: an uncertain match is no match)."""
-    offsets = sorted(t.offset for t in my_things if t.kind == "entity" and t.detail == team)
-    mine = frozenset(my_things)
-    hits = [off for off in offsets if matches_at(mine, reply, off, team)]
-    return hits[0] if len(hits) == 1 else None
-
-
 @dataclass(frozen=True)
 class Resolution:
     status: str  # identified | ambiguous | no_match

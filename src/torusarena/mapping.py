@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .merge_protocol import MergeProtocol, Sighting
 from .torus import DIR_OFFSETS, Coord, Dims, Offset, add, manhattan, torus_distance, wrap
-from .world import Action, Percept
+from .world import CLEAR_COST, Action, Percept
 
 Vec = tuple[int, int]
 
@@ -183,8 +183,8 @@ class MapStore:
         return records
 
     def _run_instance(self, s: Sighting) -> MergeRecord:
-        engine = MergeProtocol(agents=self.agents, schedule=(s,))
-        state = engine.initial_state(dict(self.leaders), dict(self.offsets))
+        engine = MergeProtocol(self.agents, (s,), leaders=self.leaders, offsets=self.offsets)
+        state = engine.initial_state()
         final, transcript = engine.run_to_quiescence(state)
         winner, _ = engine.winner_loser(state, 0)
         before = set(self.group_members(winner))
@@ -214,7 +214,6 @@ class CartographyState:
     initial_distance: int
     steps_a: int = 0
     steps_b: int = 0
-    status: str = "active"  # active | finished
     last_seen_step: int = 0
 
     def direction_of(self, agent: str) -> str:
@@ -267,15 +266,13 @@ def finish_dimension(
     return size
 
 
-def cartographer_action(
-    state: CartographyState, agent: str, percept: Percept, clear_cost: int
-) -> Action:
+def cartographer_action(state: CartographyState, agent: str, percept: Percept) -> Action:
     """Next action for an active cartographer: march the assigned direction,
     charge a clear on obstacles or blocks, keep shoving against agents."""
     direction = state.direction_of(agent)
     ahead = DIR_OFFSETS[direction]
     if ahead in percept.obstacles or ahead in percept.blocks:
-        if percept.self_energy < clear_cost:
+        if percept.self_energy < CLEAR_COST:
             return Action.skip()  # wait for recharge, then resume clearing
         return Action.clear(ahead)
     # Entities ahead: keep trying the same move until it succeeds.

@@ -31,18 +31,15 @@ class Sighting:
     offset: Offset
     pos_a: Vec = (0, 0)
     pos_b: Vec = (0, 0)
-    step: int = 0
 
 
 @dataclass(frozen=True)
 class Instance:
     phase: str  # queued | proposed | absorbed | finished
-    report_a: Optional[str] = None  # leader name currently holding the report
+    report_a: Optional[str] = None  # leader holding the report; None until sent
     report_b: Optional[str] = None
     addr_a: str = ""
     addr_b: str = ""
-    sent_a: bool = False
-    sent_b: bool = False
     winner: str = ""  # fixed when the propose fires
     notifies: tuple[str, ...] = ()
 
@@ -113,21 +110,22 @@ class Event:
 
 @dataclass
 class MergeProtocol:
-    """Transition rules parameterized by a sighting schedule and optional
-    fault injections (dropped notifies, a broken leader-decision rule)."""
+    """Transition rules parameterized by a sighting schedule, the group table
+    they start from and optional fault injections (dropped notifies, a broken
+    leader-decision rule). With no table every agent leads itself at (0, 0).
+    A checker model also records the world positions its agents stand at."""
 
     agents: tuple[str, ...]
     schedule: tuple[Sighting, ...]
+    leaders: Optional[dict[str, str]] = None
+    offsets: Optional[dict[str, Vec]] = None
+    positions: Optional[dict[str, Vec]] = None
     drop_notify: frozenset[str] = frozenset()
     both_claim_victory: bool = False
 
-    def initial_state(
-        self,
-        leaders: Optional[dict[str, str]] = None,
-        offsets: Optional[dict[str, Vec]] = None,
-    ) -> ProtocolState:
-        leaders = leaders or {a: a for a in self.agents}
-        offsets = offsets or {a: (0, 0) for a in self.agents}
+    def initial_state(self) -> ProtocolState:
+        leaders = self.leaders or {a: a for a in self.agents}
+        offsets = self.offsets or {a: (0, 0) for a in self.agents}
         return ProtocolState(
             leaders=tuple(sorted(leaders.items())),
             offsets=tuple(sorted(offsets.items())),
@@ -137,6 +135,11 @@ class MergeProtocol:
             lock=None,
             instances=(),
         )
+
+    def alphabet_ok(self, label: str) -> bool:
+        """Is `label` an event name over this system's agents?"""
+        parts = label.split()
+        return bool(parts) and parts[0] in Event._ORDER and all(p in self.agents for p in parts[1:])
 
     # ------------------------------------------------------------- decision
 
@@ -181,17 +184,17 @@ class MergeProtocol:
                 continue
             s = self.schedule[k]
             if inst.phase in ("queued", "proposed", "absorbed"):
-                if not inst.sent_a:
+                if inst.report_a is None:
                     yield Event("report", k, s.a)
-                if not inst.sent_b:
-                    yield Event("report", k, s.b)
-                if inst.sent_a and inst.report_a != state.leader_of(s.a):
+                elif inst.report_a != state.leader_of(s.a):
                     yield Event("forward", k, s.a)
-                if inst.sent_b and inst.report_b != state.leader_of(s.b):
+                if inst.report_b is None:
+                    yield Event("report", k, s.b)
+                elif inst.report_b != state.leader_of(s.b):
                     yield Event("forward", k, s.b)
             if inst.phase == "queued" and state.queue and state.queue[0] == k and state.lock is None:
                 la, lb = state.leader_of(s.a), state.leader_of(s.b)
-                if inst.sent_a and inst.sent_b and la == lb:
+                if inst.report_a is not None and inst.report_b is not None and la == lb:
                     yield Event("cancel", k, s.a, s.b)
                 elif la != lb:
                     winner, loser = self.winner_loser(state, k)
@@ -265,9 +268,9 @@ class MergeProtocol:
     def _apply_report(self, state: ProtocolState, k: int, agent: str) -> ProtocolState:
         inst = state.instance(k)
         if agent == self.schedule[k].a:
-            inst = replace(inst, sent_a=True, report_a=inst.addr_a)
+            inst = replace(inst, report_a=inst.addr_a)
         else:
-            inst = replace(inst, sent_b=True, report_b=inst.addr_b)
+            inst = replace(inst, report_b=inst.addr_b)
         return self._with_instance(state, k, inst)
 
     def _apply_forward(self, state: ProtocolState, k: int, agent: str) -> ProtocolState:
@@ -280,10 +283,7 @@ class MergeProtocol:
 
     def _apply_propose(self, state: ProtocolState, k: int, target: str) -> ProtocolState:
         inst = replace(state.instance(k), phase="proposed", winner=target)
-        return self._with_instance(self._take_lock(state, k), k, inst)
-
-    def _take_lock(self, state: ProtocolState, k: int) -> ProtocolState:
-        return state if state.lock == k else replace(state, lock=k)
+        return self._with_instance(replace(state, lock=k), k, inst)
 
     def _apply_absorb(self, state: ProtocolState, k: int, winner: str) -> ProtocolState:
         s = self.schedule[k]

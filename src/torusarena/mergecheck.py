@@ -1,20 +1,25 @@
 """Explicit-state checker for the map-merge protocol.
 
-Explores every interleaving of the shared transition rules over a scripted
-sighting schedule and checks the properties the protocol is trusted for:
-no deadlocks, a reachable (and, strongly, inevitable) done state where all
-agents share one leader, specific traces being performable, and confluence
-of all terminal states. Fault injections (dropped notifies, a broken leader
-decision) exist to prove the checks can fail loudly.
+The explorer and the has-trace check run any transition system: an object
+with `initial_state()`, `enabled(state)` (a sorted list of events, each with
+a printable `label`), `apply(state, event)` and `alphabet_ok(label)`, whose
+states are hashable and say whether they are `done`. `MergeProtocol` is
+one, so every interleaving of the rules live merges use is explored over a
+scripted sighting schedule and checked for the properties the protocol is
+trusted for: no deadlocks, a reachable (and, strongly, inevitable) done
+state where all agents share one leader, specific traces being performable,
+and confluence of all terminal states. Fault injections (dropped notifies,
+a broken leader decision) exist to prove the checks can fail loudly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from .merge_protocol import MergeProtocol, ProtocolState, Sighting
+from .merge_protocol import MergeProtocol, Sighting
+from .torus import sub
 
 Trace = tuple[str, ...]
 
@@ -25,45 +30,6 @@ class ExplorationBound(RuntimeError):
         self.trace = trace
 
 
-@dataclass
-class ProtocolModel:
-    """A bounded scenario: agents with fixed world positions, a sighting
-    schedule, optional pre-merged groups, optional faults."""
-
-    agents: tuple[str, ...]
-    positions: dict[str, tuple[int, int]]
-    schedule: tuple[Sighting, ...]
-    initial_leaders: Optional[dict[str, str]] = None
-    drop_notify: frozenset[str] = frozenset()
-    both_claim_victory: bool = False
-
-    def engine(self) -> MergeProtocol:
-        return MergeProtocol(
-            agents=self.agents,
-            schedule=self.schedule,
-            drop_notify=self.drop_notify,
-            both_claim_victory=self.both_claim_victory,
-        )
-
-    def initial_state(self) -> ProtocolState:
-        engine = self.engine()
-        if self.initial_leaders is None:
-            return engine.initial_state()
-        offsets = {}
-        for a in self.agents:
-            leader = self.initial_leaders[a]
-            pa, pl = self.positions[a], self.positions[leader]
-            offsets[a] = (pa[0] - pl[0], pa[1] - pl[1])
-        return engine.initial_state(dict(self.initial_leaders), offsets)
-
-    def alphabet_ok(self, label: str) -> bool:
-        parts = label.split()
-        kinds = {"sight", "report", "forward", "cancel", "propose", "absorb", "notify", "done"}
-        if not parts or parts[0] not in kinds:
-            return False
-        return all(p in self.agents for p in parts[1:])
-
-
 def chain_model(
     n_agents: int = 3,
     n_sightings: int = 2,
@@ -72,13 +38,14 @@ def chain_model(
     drop_notify: frozenset[str] = frozenset(),
     both_claim_victory: bool = False,
     pairs: Optional[tuple[tuple[str, str], ...]] = None,
-) -> ProtocolModel:
+) -> MergeProtocol:
     """Agents on a line sighting each other consecutively. When the schedule
     has fewer sightings than merges needed, the uncovered tail starts
     pre-merged into one group, so a done state (full unification) stays
     reachable and the merge meets a larger group along the way. A chain has
     n_agents - 1 links, so more sightings than that are rejected; richer
-    schedules go through `pairs`."""
+    schedules go through `pairs`. Pre-merged agents start at their true
+    offsets to their leader."""
     if not 2 <= n_agents <= 4:
         raise ValueError("the model supports 2 to 4 agents")
     agents = tuple(f"a{i + 1}" for i in range(n_agents))
@@ -91,19 +58,16 @@ def chain_model(
             head = agents[n_sightings]
             initial_leaders = {a: a for a in agents[: n_sightings]}
             initial_leaders.update({a: head for a in agents[n_sightings:]})
-    schedule = tuple(
-        Sighting(
-            a=a,
-            b=b,
-            offset=(positions[b][0] - positions[a][0], positions[b][1] - positions[a][1]),
-        )
-        for a, b in pairs
-    )
-    return ProtocolModel(
+    offsets = None
+    if initial_leaders is not None:
+        offsets = {a: sub(positions[a], positions[initial_leaders[a]]) for a in agents}
+    schedule = tuple(Sighting(a=a, b=b, offset=sub(positions[b], positions[a])) for a, b in pairs)
+    return MergeProtocol(
         agents=agents,
-        positions=positions,
         schedule=schedule,
-        initial_leaders=initial_leaders,
+        leaders=initial_leaders,
+        offsets=offsets,
+        positions=positions,
         drop_notify=drop_notify,
         both_claim_victory=both_claim_victory,
     )
@@ -111,10 +75,9 @@ def chain_model(
 
 @dataclass
 class StateGraph:
-    states: list[ProtocolState]
+    states: list[Any]  # states[0] is the initial state
     edges: list[list[tuple[str, int]]]  # per state: (label, successor) sorted
     traces: list[Trace]  # one shortest trace per state
-    initial: int = 0
 
     def terminal_ids(self) -> list[int]:
         return [i for i, out in enumerate(self.edges) if not out]
@@ -123,10 +86,10 @@ class StateGraph:
         return [i for i, s in enumerate(self.states) if s.done]
 
 
-def explore(model: ProtocolModel, state_bound: int = 200_000) -> StateGraph:
-    """Full reachable state graph under every event interleaving."""
-    engine = model.engine()
-    init = model.initial_state()
+def explore(system, state_bound: int = 200_000) -> StateGraph:
+    """Full reachable state graph of a transition system under every event
+    interleaving."""
+    init = system.initial_state()
     index = {init: 0}
     states = [init]
     traces: list[Trace] = [()]
@@ -135,8 +98,8 @@ def explore(model: ProtocolModel, state_bound: int = 200_000) -> StateGraph:
     while queue:
         sid = queue.popleft()
         state = states[sid]
-        for event in engine.enabled(state):
-            nxt = engine.apply(state, event)
+        for event in system.enabled(state):
+            nxt = system.apply(state, event)
             nid = index.get(nxt)
             if nid is None:
                 nid = len(states)
@@ -180,7 +143,7 @@ def check_reaches_done(graph: StateGraph, strong: bool = False) -> Verdict:
     name = "reaches-done (strong)" if strong else "reaches-done"
     done = set(graph.done_ids())
     if not done:
-        return Verdict(name, False, "no done state reachable", graph.traces[graph.initial])
+        return Verdict(name, False, "no done state reachable", graph.traces[0])
     if not strong:
         return Verdict(name, True, f"{len(done)} done states")
     # Strong: every terminal is done and done stays reachable everywhere.
@@ -212,20 +175,20 @@ def _states_reaching(graph: StateGraph, targets: set[int]) -> set[int]:
     return seen
 
 
-def check_has_trace(model: ProtocolModel, graph: StateGraph, trace: Trace) -> Verdict:
+def check_has_trace(system, graph: StateGraph, trace: Trace) -> Verdict:
     """The trace must be performable from the initial state, i.e. a prefix
-    of some path with no event refused along the way."""
-    engine = model.engine()
+    of some path with no event refused along the way. A label outside the
+    system's alphabet is an input error."""
     for label in trace:
-        if not model.alphabet_ok(label):
+        if not system.alphabet_ok(label):
             raise ValueError(f"unknown event name in trace: {label!r}")
-    frontier = {graph.states[graph.initial]}
+    frontier = {graph.states[0]}
     for pos, label in enumerate(trace):
         nxt = set()
         for state in frontier:
-            for event in engine.enabled(state):
+            for event in system.enabled(state):
                 if event.label == label:
-                    nxt.add(engine.apply(state, event))
+                    nxt.add(system.apply(state, event))
         if not nxt:
             return Verdict(
                 "has-trace",
@@ -276,7 +239,7 @@ def check_confluence(graph: StateGraph) -> Verdict:
 @dataclass
 class Scenario:
     name: str
-    model: ProtocolModel
+    model: MergeProtocol
     trace: Trace
 
 
@@ -374,12 +337,11 @@ def _interference_trace() -> Trace:
     """Canonical overlapped run of the 3-agent two-sighting model, derived
     from the deterministic execution policy plus the closing done."""
     model = chain_model(3, 2)
-    engine = model.engine()
-    _, transcript = engine.run_to_quiescence(model.initial_state())
+    _, transcript = model.run_to_quiescence(model.initial_state())
     return tuple(transcript) + ("done",)
 
 
-def run_standard_checks(model: ProtocolModel) -> list[Verdict]:
+def run_standard_checks(model: MergeProtocol) -> list[Verdict]:
     graph = explore(model)
     return [
         check_deadlock_free(graph),

@@ -331,22 +331,6 @@ def fallback_one_step(
     return Action.skip()
 
 
-def export_problem(problem: Problem) -> str:
-    """Deterministic textual form: header then the 61 labels in diamond
-    order ('.' empty, '#' obstacle, 'B' blocked)."""
-    chars = {"empty": ".", "obstacle": "#", "blocked": "B"}
-    att = "none" if problem.attached is None else f"{problem.attached[0]} {problem.attached[1]}"
-    return "\n".join(
-        [
-            "diamond: 5",
-            f"goal: {problem.goal[0]} {problem.goal[1]}",
-            f"attached: {att}",
-            f"clear: {'allowed' if problem.clear_allowed else 'forbidden'}",
-            "cells: " + "".join(chars[l] for l in problem.labels),
-        ]
-    ) + "\n"
-
-
 # ---------------------------------------------------------------- navigation
 
 SolveFn = Callable[[Problem], Plan]

@@ -46,7 +46,7 @@ from .torus import (
     torus_distance,
     wrap,
 )
-from .world import Action, Percept, Task
+from .world import ACCEPT_RADIUS, CLEAR_COST, Action, Percept, Task
 
 EXPLORER = "explorer"
 CARTOGRAPHER = "cartographer"
@@ -149,6 +149,12 @@ class TaskGroup:
             frontier.add(nxt)
         return ordered
 
+    def structure_cells(self, dims: Dims) -> set[Coord]:
+        """The anchor and every cell the active task's blocks occupy."""
+        return {self.anchor} | {
+            wrap(*add(self.anchor, off), dims) for off, _bt in self.requirement_list()
+        }
+
 
 @dataclass
 class AgentRuntime:
@@ -176,7 +182,6 @@ class TeamController:
         names: list[str],
         seed: int,
         cache: Optional[CacheStore] = None,
-        clear_cost: int = 30,
         group_capacity: int = GROUP_CAPACITY,
     ):
         self.team = team
@@ -184,7 +189,6 @@ class TeamController:
         self.rng = random.Random(f"{seed}:{team}")
         self.store = MapStore(self.names)
         self.cache = cache
-        self.clear_cost = clear_cost
         self.group_capacity = group_capacity
         self.width: Optional[int] = None
         self.height: Optional[int] = None
@@ -220,10 +224,12 @@ class TeamController:
         self.solver_calls += 1
         return solve(problem)
 
-    def _navigator(self, rt: AgentRuntime) -> Navigator:
+    def _navigate(self, rt: AgentRuntime, percept: Percept, pos: Coord, destination: Coord) -> Action:
+        """Next action of the agent's navigator toward `destination`."""
         if rt.navigator is None:
-            rt.navigator = Navigator(solve_fn=self._solve, clear_threshold=self.clear_cost)
-        return rt.navigator
+            rt.navigator = Navigator(solve_fn=self._solve, clear_threshold=CLEAR_COST)
+        rt.navigator.set_destination(destination)
+        return rt.navigator.next_action(percept, pos, self.dims())
 
     def _emit(self, step: int, kind: str, **payload) -> None:
         self.events.append({"step": step, "type": kind, "team": self.team, **payload})
@@ -281,7 +287,7 @@ class TeamController:
                 off = DIR_OFFSETS[rt.last_action.direction]
                 self.store.maps[name].advance(off)
                 state = self.carto.get(name)
-                if state is not None and state.status == "active":
+                if state is not None:
                     if name == state.pair[0]:
                         state.steps_a += 1
                     else:
@@ -295,8 +301,6 @@ class TeamController:
         # Re-sighting first: an active pair identifying each other again
         # after separation closes the measurement.
         for state in list({id(s): s for s in self.carto.values()}.values()):
-            if state.status != "active":
-                continue
             a, b = state.pair
             hits = [e for e in idents if (e.observer, e.observed) in ((a, b), (b, a))]
             if not hits:
@@ -315,7 +319,6 @@ class TeamController:
             except CartographyFault:
                 self._abort_pair(state, step)
                 continue
-            state.status = "finished"
             if state.dimension == "horizontal":
                 self.width = size
             else:
@@ -360,7 +363,7 @@ class TeamController:
             )
 
     def _open_dimension(self) -> Optional[str]:
-        active = {s.dimension for s in self.carto.values() if s.status == "active"}
+        active = {s.dimension for s in self.carto.values()}
         if self.width is None and "horizontal" not in active:
             return "horizontal"
         if self.height is None and "vertical" not in active:
@@ -387,7 +390,6 @@ class TeamController:
                     offset=fwd.offset,
                     pos_a=self.store.maps[a].self_pos,
                     pos_b=self.store.maps[b].self_pos,
-                    step=step,
                 )
             )
         for record in self.store.process_merges():
@@ -540,7 +542,7 @@ class TeamController:
         if group.deliverer is not None and group.taskboard is not None:
             dpos = self.position_of(group.deliverer)
             group.deliverer_ready = (
-                torus_distance(dpos, group.taskboard, self.dims()) <= 2
+                torus_distance(dpos, group.taskboard, self.dims()) <= ACCEPT_RADIUS
             )
 
     def _update_task(self, group: TaskGroup, percepts, step: int) -> None:
@@ -637,7 +639,7 @@ class TeamController:
 
     def _policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
         if rt.role == CARTOGRAPHER:
-            return cartographer_action(self.carto[rt.name], rt.name, percept, self.clear_cost)
+            return cartographer_action(self.carto[rt.name], rt.name, percept)
         if rt.role in (BULLY_BOUNCER, BULLY_HUNTER):
             return self._bully_policy(rt, percept, step)
         if rt.role == ORIGIN:
@@ -691,7 +693,7 @@ class TeamController:
         prey = self._prey_block(percept)
         if prey is not None:
             st.steps_without_prey = 0
-            if percept.self_energy >= self.clear_cost:
+            if percept.self_energy >= CLEAR_COST:
                 return Action.clear(prey)
             return Action.skip()
         if st.kind == "hunter":
@@ -792,9 +794,7 @@ class TeamController:
         if group.swap_phase != "none":
             return Action.skip()
         if pos != group.anchor:
-            nav = self._navigator(rt)
-            nav.set_destination(self._free_anchor(group, percept, pos))
-            return nav.next_action(percept, pos, self.dims())
+            return self._navigate(rt, percept, pos, self._free_anchor(group, percept, pos))
         # Detach only once the deliverer stands ready beside the anchor: the
         # unattached window is the one moment an enemy can steal the build.
         task = group.active_task
@@ -836,32 +836,24 @@ class TeamController:
         pos = self.position_of(rt.name)
         d = self.dims()
         if group.active_task is None:
-            if torus_distance(pos, group.taskboard, d) > 2:
-                nav = self._navigator(rt)
-                nav.set_destination(group.taskboard)
-                return nav.next_action(percept, pos, d)
+            if torus_distance(pos, group.taskboard, d) > ACCEPT_RADIUS:
+                return self._navigate(rt, percept, pos, group.taskboard)
             return Action.skip()
         if group.active_task.name not in rt.accepted_tasks:
-            if torus_distance(pos, group.taskboard, d) <= 2:
+            if torus_distance(pos, group.taskboard, d) <= ACCEPT_RADIUS:
                 return Action.accept(group.active_task.name)
-            nav = self._navigator(rt)
-            nav.set_destination(group.taskboard)
-            return nav.next_action(percept, pos, d)
+            return self._navigate(rt, percept, pos, group.taskboard)
         # Swap choreography: wait beside the anchor while the structure is
         # built, step onto it once the origin has detached, attach, submit.
         if group.swap_phase == "none":
             if self._deliverer_in_place(group):
                 return Action.skip()
-            nav = self._navigator(rt)
-            nav.set_destination(self._swap_wait_cell(group, percept, pos))
-            return nav.next_action(percept, pos, d)
+            return self._navigate(rt, percept, pos, self._swap_wait_cell(group, percept, pos))
         if group.swap_phase == "detached":
             step_dir = OFFSET_DIRS.get(delta(pos, group.anchor, d))
             if step_dir is not None:
                 return Action.move(step_dir)
-            nav = self._navigator(rt)
-            nav.set_destination(group.anchor)
-            return nav.next_action(percept, pos, d)
+            return self._navigate(rt, percept, pos, group.anchor)
         if group.swap_phase == "entered":
             return Action.attach("s")
         return Action.submit(group.active_task.name)
@@ -904,9 +896,7 @@ class TeamController:
             if pos == approach or delta(pos, target, d) in CARDINALS:
                 task.phase = "request"
             else:
-                nav = self._navigator(rt)
-                nav.set_destination(approach)
-                return nav.next_action(percept, pos, d)
+                return self._navigate(rt, percept, pos, approach)
         if task.phase == "request":
             dispensers = view.of_kind("dispenser", task.block_type)
             target = nearest(dispensers, pos, d)
@@ -939,9 +929,7 @@ class TeamController:
                 return Action.skip()
             approach = self._slot_approach(group, slot_cell, task.approach_index)
             if pos != approach:
-                nav = self._navigator(rt)
-                nav.set_destination(approach)
-                return nav.next_action(percept, pos, d)
+                return self._navigate(rt, percept, pos, approach)
             task.phase = "orient"
             task.orient_fails = 0
         if task.phase == "orient":
@@ -983,9 +971,7 @@ class TeamController:
     def _step_aside(self, group: TaskGroup, percept: Percept, pos: Coord) -> Action:
         """Clear out of the assembly area once a block is handed over."""
         d = self.dims()
-        structure = {group.anchor} | {
-            wrap(*add(group.anchor, off), d) for off, _bt in group.requirement_list()
-        }
+        structure = group.structure_cells(d)
         if all(
             wrap(*add(pos, DIR_OFFSETS[direction]), d) not in structure
             for direction in DIRECTIONS
@@ -1009,9 +995,7 @@ class TeamController:
         south of it when free of the structure, else east, west, north.
         `index` cycles through the remaining candidates on retries."""
         d = self.dims()
-        structure = {group.anchor} | {
-            wrap(*add(group.anchor, off), d) for off, _bt in group.requirement_list()
-        }
+        structure = group.structure_cells(d)
         candidates = [
             wrap(*add(slot_cell, off), d)
             for off in ((0, 1), (1, 0), (-1, 0), (0, -1))

@@ -34,6 +34,18 @@ from .torus import (
 
 EMPTY, OBSTACLE, GOAL = "empty", "obstacle", "goal"
 
+# The game's rules.
+BLOCK_TYPES = ("b1", "b2")
+MAX_ACTIVE_TASKS = 4
+TASK_DEADLINE_RANGE = (80, 200)
+INITIAL_ENERGY = 100
+MAX_ENERGY = 100
+RECHARGE = 1  # energy regained per step
+CLEAR_COST = 30
+CLEAR_RANGE = 5
+DISABLE_DURATION = 4  # steps an agent hit by a clear stays disabled
+ACCEPT_RADIUS = 2  # distance to a task board from which a task can be accepted
+
 
 class Thing(NamedTuple):
     offset: Offset
@@ -164,25 +176,14 @@ class FixedLayout:
 class WorldConfig:
     dims: tuple[int, int] = (40, 40)
     teams: dict[str, int] = field(default_factory=lambda: {"alpha": 15, "beta": 15})
-    block_types: tuple[str, ...] = ("b1", "b2")
     dispensers_per_type: int = 2
     taskboard_count: int = 2
     goal_cluster_count: int = 2
     goal_cluster_size: int = 6
     obstacle_density: float = 0.05
     task_interval: int = 20  # 0 disables random task generation
-    max_active_tasks: int = 4
     task_size_range: tuple[int, int] = (1, 3)
-    task_deadline_range: tuple[int, int] = (80, 200)
     clear_event_rate: float = 0.01
-    initial_energy: int = 100
-    max_energy: int = 100
-    recharge: int = 1
-    clear_cost: int = 30
-    clear_range: int = 5
-    disable_duration: int = 4
-    accept_radius: int = 2
-    clustered_spawn: bool = True
     fixed: Optional[FixedLayout] = None
 
     def agent_names(self) -> dict[str, list[str]]:
@@ -296,7 +297,7 @@ class World:
         else:
             taken = set(self.taskboards)
             candidates = [c for c in free if c not in taken]
-            for btype in cfg.block_types:
+            for btype in BLOCK_TYPES:
                 for _ in range(cfg.dispensers_per_type):
                     if not candidates:
                         raise WorldConfigError("not enough open cells for dispensers")
@@ -334,14 +335,7 @@ class World:
         for team, team_names in names.items():
             anchor = self._pick_anchor(open_cells, anchors, rng)
             anchors.append(anchor)
-            if cfg.clustered_spawn:
-                cells = self._cluster_cells(anchor, len(team_names), used)
-            else:
-                cells = []
-                while len(cells) < len(team_names):
-                    c = rng.choice(open_cells)
-                    if c not in used and c not in cells:
-                        cells.append(c)
+            cells = self._cluster_cells(anchor, len(team_names), used)
             for n, c in zip(team_names, cells):
                 self._spawn_agent(n, team, c)
                 used.add(c)
@@ -375,7 +369,7 @@ class World:
     def _spawn_agent(self, name: str, team: str, cell: Coord) -> None:
         if self.terrain[cell] == OBSTACLE or self._agent_at(cell) is not None:
             raise WorldConfigError(f"spawn cell {cell} for {name} is not free")
-        agent = AgentState(name, team, cell, self.config.initial_energy)
+        agent = AgentState(name, team, cell, INITIAL_ENERGY)
         self.agents[name] = agent
         self._occupant[cell] = agent
         self.spawns[name] = cell
@@ -482,7 +476,7 @@ class World:
                 events.append({"step": self.step_num, "type": "task_expired", "task": name})
                 del self.tasks[name]
         if cfg.task_interval > 0 and self.step_num % cfg.task_interval == 0:
-            if len(self.active_tasks()) < cfg.max_active_tasks:
+            if len(self.active_tasks()) < MAX_ACTIVE_TASKS:
                 task = self._random_task()
                 self.tasks[task.name] = task
                 events.append(
@@ -504,7 +498,7 @@ class World:
                 {"step": self.step_num, "type": "clear_event_warning", "cell": list(center)}
             )
         for a in self.agents.values():
-            a.energy = min(cfg.max_energy, a.energy + cfg.recharge)
+            a.energy = min(MAX_ENERGY, a.energy + RECHARGE)
 
     def _random_task(self) -> Task:
         cfg, rng = self.config, self.rng
@@ -515,7 +509,7 @@ class World:
         taken = {(0, 0)}
         cur = (0, 1)
         for _ in range(n):
-            reqs.append((cur, rng.choice(cfg.block_types)))
+            reqs.append((cur, rng.choice(BLOCK_TYPES)))
             taken.add(cur)
             neighbors = [
                 add(cur, d)
@@ -525,7 +519,7 @@ class World:
             if not neighbors:
                 break
             cur = rng.choice(neighbors)
-        deadline = self.step_num + rng.randint(*cfg.task_deadline_range)
+        deadline = self.step_num + rng.randint(*TASK_DEADLINE_RANGE)
         return Task(
             name=f"task{self._task_counter}",
             reward=10 * len(reqs),
@@ -719,7 +713,7 @@ class World:
         if task is None:
             return "failed:unknown_task"
         near = any(
-            torus_distance(agent.pos, b, self.dims) <= self.config.accept_radius
+            torus_distance(agent.pos, b, self.dims) <= ACCEPT_RADIUS
             for b in self.taskboards
         )
         if not near:
@@ -761,10 +755,10 @@ class World:
         if act.offset is None:
             agent.clear_charge = None
             return "failed:invalid"
-        if manhattan(act.offset) > self.config.clear_range:
+        if manhattan(act.offset) > CLEAR_RANGE:
             agent.clear_charge = None
             return "failed:out_of_range"
-        if agent.energy < self.config.clear_cost:
+        if agent.energy < CLEAR_COST:
             agent.clear_charge = None
             return "failed:no_energy"
         target = wrap(*add(agent.pos, act.offset), self.dims)
@@ -776,7 +770,7 @@ class World:
             agent.clear_charge = (target, count)
             return "success"
         agent.clear_charge = None
-        agent.energy -= self.config.clear_cost
+        agent.energy -= CLEAR_COST
         removed = self._clear_cell(target)
         self._events.append(
             {
@@ -812,7 +806,7 @@ class World:
             removed.append("block")
         victim = self._agent_at(cell)
         if victim is not None:
-            victim.disabled_until = self.step_num + 1 + self.config.disable_duration
+            victim.disabled_until = self.step_num + 1 + DISABLE_DURATION
             self._release(victim, set(victim.held))
             removed.append("agent_disabled")
         return removed

@@ -409,9 +409,7 @@ def run_assembly_instrumented(seed=6):
     cfg.validate()
     world = World(cfg.world_config(), cfg.seed)
     names = cfg.world_config().agent_names()
-    team = TeamController(
-        "alpha", names["alpha"], cfg.seed, clear_cost=world.config.clear_cost
-    )
+    team = TeamController("alpha", names["alpha"], cfg.seed)
     percepts = world.percepts()
     events_all = []
     completed = 0

@@ -41,3 +41,29 @@ def test_layer_trace_covers_a_greedy_courier_match(monkeypatch):
     assert calls["harness.opponent"] == 30
     assert calls["team.act_self"] == 30
     assert calls["harness.self"] == 1
+
+
+def test_layer_trace_covers_the_protocol_checker(monkeypatch):
+    # The protocol-check workload drives the checker through these names:
+    # the rules wrapped on MergeProtocol, chain_model with the benchmark's
+    # schedule and faults, and the done states' offsets against positions.
+    bench = load_bench(monkeypatch)
+    m = bench.load_program()
+    mc = m["mergecheck"]
+    layers = bench.LayerTrace(m, [])
+    with layers.tracer.installed(layers.install):
+        model = mc.chain_model(3, 2)
+        verdicts = mc.run_standard_checks(model)
+        assert layers.counts["mergecheck.states"] == 109
+        for sc in mc.builtin_scenarios():
+            verdicts.append(mc.check_has_trace(sc.model, mc.explore(sc.model), sc.trace))
+    assert all(verdicts), [v.name for v in verdicts if not v]
+    calls = layers.tracer.calls
+    assert calls["merge_protocol.enabled"] > 0
+    assert calls["merge_protocol.apply"] > 0
+    for pairs, fault in bench.PROTOCOL_FAULTS:
+        assert mc.chain_model(4, pairs=pairs, **fault).schedule
+    graph = mc.explore(model)
+    for i in graph.done_ids():
+        state = graph.states[i]
+        bench.check_done_offsets(dict(state.leaders), dict(state.offsets), model.positions)

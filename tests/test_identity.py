@@ -9,7 +9,6 @@ from torusarena.identity import (
     RoundStats,
     build_reply,
     identification_round,
-    match_candidate,
     matches_at,
     mutual_pairs,
     resolve,
@@ -32,6 +31,9 @@ def fig1_world():
 
 
 class TestMatchCandidate:
+    """Matching one reply against the teammate sighted at a candidate offset;
+    alpha01 sees a single teammate, at (4, 0)."""
+
     def test_two_agent_scenario_matches_with_context(self):
         w = fig1_world()
         p5, p3 = w.percept("alpha01"), w.percept("alpha02")
@@ -42,13 +44,14 @@ class TestMatchCandidate:
         assert abs(-3 + 4) + abs(-2 + 0) == 3
         assert Thing((-3, -2), "dispenser", "b2") in reply.things
         assert Thing((1, -2), "dispenser", "b2") in p5.things
-        assert match_candidate(p5.things, reply, "alpha") == (4, 0)
+        assert unknown_team_entities(p5, "alpha") == [(4, 0)]
+        assert matches_at(p5.things, reply, (4, 0), "alpha") is True
 
     def test_reply_without_symmetric_entity(self):
         w = fig1_world()
         p5 = w.percept("alpha01")
         reply = IdReply("alpha02", (Thing((-3, -2), "dispenser", "b2"),))
-        assert match_candidate(p5.things, reply, "alpha") is None
+        assert matches_at(p5.things, reply, (4, 0), "alpha") is False
 
     def test_reply_thing_missing_from_my_view_rejects(self):
         w = fig1_world()
@@ -60,7 +63,6 @@ class TestMatchCandidate:
             (Thing((-4, 0), "entity", "alpha"), Thing((-2, -2), "dispenser", "b2")),
         )
         assert matches_at(p5.things, reply, (4, 0), "alpha") is False
-        assert match_candidate(p5.things, reply, "alpha") is None
 
     def test_reply_thing_outside_my_range_is_ignored(self):
         w = fig1_world()
@@ -76,7 +78,7 @@ class TestMatchCandidate:
         w = fig1_world()
         p5 = w.percept("alpha01")
         reply = IdReply("alpha02", (Thing((-4, 0), "entity", "beta"),))
-        assert match_candidate(p5.things, reply, "alpha") is None
+        assert matches_at(p5.things, reply, (4, 0), "alpha") is False
 
 
 class TestResolve:

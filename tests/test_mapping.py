@@ -109,7 +109,6 @@ class TestMerge:
             offset=off,
             pos_a=store.maps[a].self_pos,
             pos_b=store.maps[b].self_pos,
-            step=world.step_num,
         )
 
     def ground_truth_ok(self, world, store):

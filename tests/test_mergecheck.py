@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 
 from torusarena.mergecheck import (
@@ -42,14 +44,13 @@ class TestExplore:
         # Every stored trace must replay through the transition rules to the
         # state it is recorded for.
         model = chain_model(3, 2)
-        engine = model.engine()
         graph = explore(model)
         for sid in range(0, len(graph.states), 37):  # sample across the graph
             state = model.initial_state()
             for label in graph.traces[sid]:
-                matches = [e for e in engine.enabled(state) if e.label == label]
+                matches = [e for e in model.enabled(state) if e.label == label]
                 assert matches, f"trace event {label} refused during replay"
-                state = engine.apply(state, matches[0])
+                state = model.apply(state, matches[0])
             assert state == graph.states[sid]
 
 
@@ -142,3 +143,79 @@ def test_sightings_beyond_the_chain_are_rejected():
 def test_scenarios_have_six_entries():
     assert len(builtin_scenarios()) == 6
     assert len({sc.name for sc in builtin_scenarios()}) == 6
+
+
+@pytest.mark.parametrize(
+    "n, k, states, edges",
+    [(2, 1, 13, 14), (3, 2, 109, 192), (4, 2, 125, 224), (4, 3, 693, 1626)],
+)
+def test_chain_model_state_space_is_pinned(n, k, states, edges):
+    # A change to the state abstraction (a field that splits or merges
+    # states) shows up here before it shows up as a slower checker.
+    graph = explore(chain_model(n, k))
+    assert (len(graph.states), sum(len(out) for out in graph.edges)) == (states, edges)
+
+
+@dataclass(frozen=True)
+class Step:
+    label: str
+
+
+@dataclass(frozen=True)
+class Count:
+    value: int
+    done: bool = False
+
+
+class Counter:
+    """A transition system with no merge protocol in it: count up from 0 by
+    1 or 2 to `top`, then finish. A counter that can only add 2 from an odd
+    start never finishes on an even top."""
+
+    def __init__(self, top: int, start: int = 0, steps: tuple[int, ...] = (1, 2)):
+        self.top, self.start, self.steps = top, start, steps
+
+    def initial_state(self) -> Count:
+        return Count(self.start)
+
+    def enabled(self, state: Count) -> list[Step]:
+        if state.done:
+            return []
+        if state.value == self.top:
+            return [Step("done")]
+        return [Step(f"add {n}") for n in self.steps if state.value + n <= self.top]
+
+    def apply(self, state: Count, event: Step) -> Count:
+        if event.label == "done":
+            return Count(state.value, done=True)
+        return Count(state.value + int(event.label.split()[1]))
+
+    def alphabet_ok(self, label: str) -> bool:
+        return label == "done" or label in (f"add {n}" for n in self.steps)
+
+
+class TestAnyTransitionSystem:
+    def test_counter_graph_and_checks(self):
+        system = Counter(4)
+        graph = explore(system)
+        # Values 0..4 plus the done state; from v < 3 two moves, from 3 one.
+        assert [s.value for s in graph.states] == [0, 1, 2, 3, 4, 4]
+        assert sum(len(out) for out in graph.edges) == 3 * 2 + 1 + 1
+        assert graph.traces[graph.done_ids()[0]] == ("add 2", "add 2", "done")
+        assert check_deadlock_free(graph)
+        assert check_reaches_done(graph, strong=True)
+
+    def test_counter_traces(self):
+        system = Counter(4)
+        graph = explore(system)
+        assert check_has_trace(system, graph, ("add 1", "add 1", "add 2", "done"))
+        refused = check_has_trace(system, graph, ("add 2", "add 2", "add 1"))
+        assert not refused and refused.counterexample == ("add 2", "add 2")
+        with pytest.raises(ValueError):
+            check_has_trace(system, graph, ("add 3",))
+
+    def test_stuck_counter_fails_the_checks(self):
+        graph = explore(Counter(4, start=1, steps=(2,)))
+        verdict = check_deadlock_free(graph)
+        assert not verdict and verdict.counterexample == ("add 2",)
+        assert not check_reaches_done(graph)

@@ -15,7 +15,6 @@ from torusarena.planner import (
     Problem,
     ProblemError,
     build_problem,
-    export_problem,
     fallback_one_step,
     relaxed_reachable,
     select_good_cell,
@@ -381,16 +380,3 @@ class TestNavigator:
             act = nav.next_action(percept, w.agents["alpha01"].pos, w.dims)
             w.step({"alpha01": act})
         assert nav.stuck
-
-
-def test_export_problem_layout():
-    p = make_problem(obstacles=[(0, -1)], goal=(0, -5))
-    text = export_problem(p)
-    lines = text.splitlines()
-    assert lines[0] == "diamond: 5"
-    assert lines[1] == "goal: 0 -5"
-    assert lines[2] == "attached: none"
-    assert lines[3] == "clear: forbidden"
-    cells = lines[4].removeprefix("cells: ")
-    assert len(cells) == 61
-    assert cells[20] == "#"  # (0,-1) sits at unrolling index 20

@@ -139,9 +139,7 @@ class TestCartographyLifecycle:
         )
         team = TeamController("alpha", [f"alpha{i:02d}" for i in range(1, 7)], seed=0)
         self.run_round(team, w)
-        dims_assigned = sorted(
-            {s.dimension for s in team.carto.values() if s.status == "active"}
-        )
+        dims_assigned = sorted({s.dimension for s in team.carto.values()})
         assert dims_assigned == ["horizontal", "vertical"]
         explorers = [n for n in team.names if team.runtimes[n].role == EXPLORER]
         assert len(explorers) == 2  # the third pair stays exploring
