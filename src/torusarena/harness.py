@@ -271,11 +271,12 @@ def play(config: MatchConfig) -> Match:
         "seed": config.seed,
     }
     log = [_dump(header)]
-    percepts = world.percepts()
+    # Only the team reads percepts; the opponents read the world itself.
+    percepts = world.percepts(names[TEAM])
     for step in range(config.steps):
-        actions = team.act({n: percepts[n] for n in names[TEAM]}, step)
+        actions = team.act(percepts, step)
         actions.update(opponent.act(world, step))
-        percepts, world_events = world.step(actions)
+        percepts, world_events = world.step(actions, names[TEAM])
         log.extend(_dump(record) for record in team.drain_events())
         log.extend(_dump(record) for record in world_events)
     final = {

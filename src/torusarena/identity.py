@@ -2,24 +2,35 @@
 symmetric-offset matching with a full-context consistency check, and
 conservative ambiguity handling with retry.
 
-Matching is requester-side only. A responder's reply always contains its
-complete thing list; the requester filters it down to the overlap of the two
-vision diamonds before demanding agreement.
+Matching is requester-side only. A responder's reply is its complete thing
+list. The requester takes the responder for the teammate it sees at offset
+`off` when the reply, moved by `off` into the requester's frame, holds an
+entity of the requester's team on the requester's own cell and every other
+thing of the reply that lands in the requester's vision diamond is one of
+the requester's own things.
+
+A round tests that rule with one bitmask test per candidate. Each
+(kind, detail) pair seen in the round is interned as a code, and a thing
+list becomes a Python int with one bit per (cell, code) over a box of
+(4R+1)^2 cells, R being VISION_RADIUS, so a round has as many bits per cell
+as codes. A reply is laid out around the box cell (R, R) and the
+requester's view around the centre (2R, 2R): moving a reply by any offset
+in the diamond is one left shift, and it stays inside the box. The
+requester's veto mask holds every bit of its diamond except those of its
+own things. The candidate matches when the moved reply ANDed with the veto
+is exactly the bit of a team entity on the centre cell.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Container, Optional
+from typing import Iterable, Optional
 
-from .torus import VISION_RADIUS, Offset, neg
+from .torus import DIAMOND, VISION_RADIUS, Offset, neg
 from .world import Percept, Thing
 
-
-@dataclass(frozen=True)
-class IdReply:
-    responder: str
-    things: tuple[Thing, ...]
+SIDE = 4 * VISION_RADIUS + 1  # cells per row of the bit box
 
 
 @dataclass(frozen=True)
@@ -30,35 +41,57 @@ class Identification:
     step: int
 
 
-def build_reply(responder: str, percept: Percept) -> IdReply:
-    return IdReply(responder=responder, things=percept.things)
-
-
 def unknown_team_entities(percept: Percept, team: str) -> list[Offset]:
     return sorted(t.offset for t in percept.things if t.kind == "entity" and t.detail == team)
 
 
-def matches_at(mine: Container[Thing], reply: IdReply, offset: Offset, team: str) -> bool:
-    """True iff the responder could be the entity I see at `offset`.
+class ThingBits:
+    """The bit layout of one round: `width` bits per box cell, one for each
+    (kind, detail) code. Code 0 is an entity of `team`."""
 
-    `mine` holds my own things; pass a frozenset when testing many offsets.
-    Requires the reply to contain me (entity of my team at the mirrored
-    offset) and every reply thing that maps into my vision diamond to have an
-    exact counterpart in my own things.
-    """
-    ox, oy = offset
-    mx, my = -ox, -oy
-    found_me = False
-    for (tx, ty), kind, detail in reply.things:
-        if tx == mx and ty == my and kind == "entity":
-            if detail != team:
-                return False
-            found_me = True
-            continue
-        x, y = tx + ox, ty + oy
-        if abs(x) + abs(y) <= VISION_RADIUS and ((x, y), kind, detail) not in mine:
-            return False
-    return found_me
+    def __init__(self, team: str, thing_lists: Iterable[Iterable[Thing]]):
+        codes = {("entity", team): 0}
+        for things in thing_lists:
+            for _, kind, detail in things:
+                codes.setdefault((kind, detail), len(codes))
+        self.codes = codes
+        self.width = len(codes)
+        self.cell_bits, self.diamond = _layout(self.width)
+        # Where the requester's own cell sits relative to a reply's: a
+        # requester's view is a reply's layout shifted by this.
+        self.home = self.cell_bits[0, 0]
+        self.centre = 1 << 2 * self.home
+
+    def mask(self, things: Iterable[Thing]) -> int:
+        """A thing list in reply layout."""
+        cell_bits, codes = self.cell_bits, self.codes
+        m = 0
+        for off, kind, detail in things:
+            m |= 1 << cell_bits[off] + codes[kind, detail]
+        return m
+
+    def veto(self, mask: int) -> int:
+        """The requester's diamond less its own things (given as their reply
+        mask), in requester layout."""
+        return self.diamond & ~(mask << self.home)
+
+    def matches_at(self, veto: int, reply: int, shift: int) -> bool:
+        """True iff the responder whose reply mask is `reply` could be the
+        teammate seen at offset `off`, by the requester whose veto mask is
+        `veto`; `shift` is `cell_bits[off]`, which moves a reply by `off`."""
+        return (reply << shift) & veto == self.centre
+
+
+@functools.cache
+def _layout(width: int) -> tuple[dict[Offset, int], int]:
+    """For `width` bits per cell: the first bit of each diamond cell in reply
+    layout, and every bit of the diamond in requester layout."""
+    cell_bits = {
+        (x, y): (x + VISION_RADIUS + (y + VISION_RADIUS) * SIDE) * width for x, y in DIAMOND
+    }
+    cell = (1 << width) - 1
+    diamond = sum(cell << bit for bit in cell_bits.values()) << cell_bits[0, 0]
+    return cell_bits, diamond
 
 
 @dataclass(frozen=True)
@@ -98,34 +131,32 @@ def identification_round(
     because replies are pure functions of the responder's percept."""
     stats = RoundStats()
     events: list[Identification] = []
-    replies = {
-        name: build_reply(name, percepts[name]) for name in sorted(percepts)
-    }
+    sightings = {name: unknown_team_entities(percepts[name], team) for name in sorted(percepts)}
+    # Only an agent that sees a teammate asks, or can answer for one.
+    seeing = [name for name, offs in sightings.items() if offs]
+    bits = ThingBits(team, (percepts[name].things for name in seeing))
+    replies = {name: bits.mask(percepts[name].things) for name in seeing}
     # A responder can be the teammate I see at `off` only if it sees a
     # teammate at -off, so index the responders (in name order) by the
     # offsets at which they see one.
     seen_at: dict[Offset, list[str]] = {}
-    for responder, reply in replies.items():
-        for t in reply.things:
-            if t.kind == "entity" and t.detail == team:
-                seen_at.setdefault(t.offset, []).append(responder)
-    for name in sorted(percepts):
-        sightings = unknown_team_entities(percepts[name], team)
-        if not sightings:
-            continue
+    for responder in seeing:
+        for off in sightings[responder]:
+            seen_at.setdefault(off, []).append(responder)
+    for name in seeing:
         stats.broadcasts += 1  # one broadcast per agent per step
         stats.replies += len(percepts) - 1
-        mine = frozenset(percepts[name].things)
-        for off in sightings:
+        veto = bits.veto(replies[name])
+        for off in sightings[name]:
             # A responder matching at several offsets stays a candidate at
             # each of them; discarding it could leave a wrong unique
             # candidate standing at the true offset.
-            candidates = []
-            for responder in seen_at.get(neg(off), ()):
-                if responder == name:
-                    continue
-                if matches_at(mine, replies[responder], off, team):
-                    candidates.append((responder, off))
+            shift = bits.cell_bits[off]  # moves a reply by `off`
+            candidates = [
+                (responder, off)
+                for responder in seen_at.get(neg(off), ())
+                if responder != name and bits.matches_at(veto, replies[responder], shift)
+            ]
             res = resolve(candidates)
             if res.status == "identified":
                 events.append(Identification(name, res.responder, off, step))

@@ -2,9 +2,10 @@
 actions, clear mechanics, tasks and scoring, all driven by one seeded RNG.
 
 Percepts are immutable snapshots of the 61-cell diamond around an agent and
-never leak agent identities, only team names. Actions are applied in
-ascending agent-name order, which doubles as the conflict-resolution rule:
-the lower name wins a contested cell.
+never leak agent identities, only team names; they are built only for the
+agents a caller names. Actions are applied in ascending agent-name order,
+which doubles as the conflict-resolution rule: the lower name wins a
+contested cell.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ CLEAR_COST = 30
 CLEAR_RANGE = 5
 DISABLE_DURATION = 4  # steps an agent hit by a clear stays disabled
 ACCEPT_RADIUS = 2  # distance to a task board from which a task can be accepted
+
+# The vision diamond in sorted offset order, the order of a percept's lists.
+_SORTED_DIAMOND = tuple(sorted(DIAMOND))
 
 
 class Thing(NamedTuple):
@@ -403,10 +407,17 @@ class World:
 
     # ---------------------------------------------------------------- percept
 
-    def percept(self, agent_id: str) -> Percept:
-        if agent_id not in self.agents:
-            raise KeyError(f"unknown agent {agent_id!r}")
-        me = self.agents[agent_id]
+    def percepts(self, names: Iterable[str]) -> dict[str, Percept]:
+        """Percepts of the named agents, in the given order."""
+        tasks = tuple(self.active_tasks())
+        out = {}
+        for name in names:
+            if name not in self.agents:
+                raise KeyError(f"unknown agent {name!r}")
+            out[name] = self._percept(self.agents[name], tasks)
+        return out
+
+    def _percept(self, me: AgentState, tasks: tuple[Task, ...]) -> Percept:
         things: list[Thing] = []
         terrain: list[tuple[Offset, str]] = []
         boards: list[Offset] = []
@@ -414,20 +425,22 @@ class World:
         w, h = self.dims
         occupant, blocks, dispensers = self._occupant, self.blocks, self.dispensers
         cells, taskboards = self.terrain, self.taskboards
-        for off in DIAMOND:
+        # Offsets in sorted order, and a cell's things in kind order, so all
+        # three lists come out sorted.
+        for off in _SORTED_DIAMOND:
             dx, dy = off
             cell = ((px + dx) % w, (py + dy) % h)
-            # Test the offset, not the agent: on a side of at most
-            # 2 * VISION_RADIUS the diamond wraps onto the agent's own cell at
-            # a non-zero offset, and the agent lists itself there.
-            if off != (0, 0):
-                other = occupant.get(cell)
-                if other is not None:
-                    things.append(Thing(off, "entity", other.team))
             if cell in blocks:
                 things.append(Thing(off, "block", blocks[cell].type))
             if cell in dispensers:
                 things.append(Thing(off, "dispenser", dispensers[cell]))
+            # Test the offset, not the agent: on a side of at most
+            # VISION_RADIUS the diamond wraps onto the agent's own cell at a
+            # non-zero offset, and the agent lists itself there.
+            if off != (0, 0):
+                other = occupant.get(cell)
+                if other is not None:
+                    things.append(Thing(off, "entity", other.team))
             t = cells[cell]
             if t != EMPTY:
                 terrain.append((off, t))
@@ -436,19 +449,20 @@ class World:
         return Percept(
             self_energy=me.energy,
             self_attached=tuple(me.attached_offsets(self)),
-            things=tuple(sorted(things)),
-            terrain=tuple(sorted(terrain)),
-            taskboards=tuple(sorted(boards)),
-            tasks=tuple(self.active_tasks()),
+            things=tuple(things),
+            terrain=tuple(terrain),
+            taskboards=tuple(boards),
+            tasks=tasks,
             last_action_result=me.last_result,
         )
 
-    def percepts(self) -> dict[str, Percept]:
-        return {n: self.percept(n) for n in sorted(self.agents)}
-
     # ------------------------------------------------------------------- step
 
-    def step(self, actions: dict[str, Action]) -> tuple[dict[str, Percept], list[dict]]:
+    def step(
+        self, actions: dict[str, Action], observers: Iterable[str]
+    ) -> tuple[dict[str, Percept], list[dict]]:
+        """Apply one step's actions; return the observers' new percepts and
+        the step's events."""
         events: list[dict] = []
         self._events = events
         for name in sorted(self.agents):
@@ -467,7 +481,7 @@ class World:
         self._dynamics(events)
         self.step_num += 1
         self._inject_scripted_tasks()
-        return self.percepts(), events
+        return self.percepts(observers), events
 
     def _dynamics(self, events: list[dict]) -> None:
         cfg = self.config

@@ -41,3 +41,8 @@ def scripted_world(
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return World(cfg, seed)
+
+
+def percept_of(world, name):
+    """The percept of one agent."""
+    return world.percepts((name,))[name]

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from conftest import scripted_world
+from conftest import percept_of, scripted_world
 from test_planner import make_problem, oracle_cost
 from torusarena.harness import (
     GreedyCourier,
@@ -66,7 +66,7 @@ def test_criterion_1_identification_soundness():
         world = World(cfg, worlds)
         names = sorted(n for n, a in world.agents.items() if a.team == "alpha")
         for round_no in range(6):
-            percepts = {n: world.percept(n) for n in names}
+            percepts = {n: percept_of(world, n) for n in names}
             sightings += sum(
                 len(unknown_team_entities(percepts[n], "alpha")) for n in names
             )
@@ -76,12 +76,7 @@ def test_criterion_1_identification_soundness():
                 true_cell = wrap(*add(world.agents[e.observer].pos, e.offset), world.dims)
                 assert world.agents[e.observed].pos == true_cell, "false identification"
                 assert world.agents[e.observed].team == "alpha"
-            world.step(
-                {
-                    n: Action.move(rng.choice("nsew"))
-                    for n in world.agents
-                }
-            )
+            world.step({n: Action.move(rng.choice("nsew")) for n in world.agents}, ())
     # The worked two-agent example: both sides identify in a single round,
     # and the context check hinges on |-3+4| + |-2+0| = 3 <= 5.
     w = scripted_world(
@@ -90,7 +85,7 @@ def test_criterion_1_identification_soundness():
         {"alpha": [(10, 10), (14, 10)]},
         dispensers=[((11, 8), "b2")],
     )
-    percepts = {n: w.percept(n) for n in ("alpha01", "alpha02")}
+    percepts = {n: percept_of(w, n) for n in ("alpha01", "alpha02")}
     assert Thing((-3, -2), "dispenser", "b2") in percepts["alpha02"].things
     assert abs(-3 + 4) + abs(-2 + 0) == 3 <= 5
     events, _ = identification_round("alpha", percepts, 0)
@@ -119,10 +114,10 @@ def test_criterion_2_cartography_exactness():
         )
         world = World(cfg, trial)
         team = TeamController("alpha", sorted(world.agents), seed=trial)
-        percepts = world.percepts()
+        percepts = world.percepts(team.names)
         for step in range(1500):
             actions = team.act(percepts, step)
-            percepts, _ = world.step(actions)
+            percepts, _ = world.step(actions, team.names)
             team.drain_events()
             if team.width is not None and team.height is not None:
                 break
@@ -208,7 +203,7 @@ def test_criterion_3_merge_correctness():
                 store.leaders[m] = right[0]
                 store.offsets[m] = sub(world.spawns[m], world.spawns[right[0]])
             for n in names:
-                record_statics(store.maps[n], world.percept(n))
+                record_statics(store.maps[n], percept_of(world, n))
             _merge_case(world, store, names[0], names[1])
             assert len({store.leader_of(n) for n in names}) == 1
             _frames_match_ground_truth(world, store)
@@ -410,14 +405,14 @@ def run_assembly_instrumented(seed=6):
     world = World(cfg.world_config(), cfg.seed)
     names = cfg.world_config().agent_names()
     team = TeamController("alpha", names["alpha"], cfg.seed)
-    percepts = world.percepts()
+    percepts = world.percepts(names["alpha"])
     events_all = []
     completed = 0
     window = 0
     max_window = 0
     for step in range(cfg.steps):
-        actions = team.act({n: percepts[n] for n in names["alpha"]}, step)
-        percepts, events = world.step(actions)
+        actions = team.act(percepts, step)
+        percepts, events = world.step(actions, names["alpha"])
         events_all.extend(team.drain_events())
         events_all.extend(events)
         world.check_invariants()
@@ -488,12 +483,12 @@ def test_criterion_8_bully_interception():
     rt.role = BULLY_HUNTER
     rt.bully = BullyState(kind="hunter", patrol_center=sub((10, 10), world.spawns["alpha01"]))
     courier = GreedyCourier(["beta01"], seed=3)
-    percepts = world.percepts()
+    percepts = world.percepts(["alpha01"])
     cleared_step = None
     for step in range(30):
         actions = team.act({"alpha01": percepts["alpha01"]}, step)
         actions.update(courier.act(world, step))
-        percepts, events = world.step(actions)
+        percepts, events = world.step(actions, ["alpha01"])
         for e in events:
             if e["type"] == "clear_completed" and e["agent"] == "alpha01":
                 cleared_step = step
@@ -536,11 +531,11 @@ def test_criterion_9_determinism():
         )
         world = World(cfg, 0)
         team = TeamController("alpha", sorted(world.agents), seed=0)
-        percepts = world.percepts()
+        percepts = world.percepts(team.names)
         trace = []
         for step in range(600):
             actions = team.act(percepts, step)
-            percepts, events = world.step(actions)
+            percepts, events = world.step(actions, team.names)
             trace.extend(team.drain_events())
             trace.extend(events)
             if team.width and team.height:

@@ -5,6 +5,7 @@ import pytest
 
 from torusarena.cli import main as cli_main
 from torusarena.harness import (
+    PRESETS,
     GreedyCourier,
     MatchConfig,
     MatchConfigError,
@@ -121,6 +122,15 @@ class TestReplay:
         assert fresh == log
         assert report.to_dict() == expected
 
+    def test_paper_scale_match_digest(self):
+        # The golden log is 4 v 4 on 24x24, where dense clusters of
+        # teammates barely form; this pins a 50 v 50 match on the r3 preset.
+        cfg = MatchConfig(steps=30, seed=0, opponent="greedy-courier", **PRESETS["r3"])
+        _, log = run_match(cfg)
+        assert json.loads(log[-1])["sha256"] == (
+            "ea741e7851b4becc6cb4b142acf451e13475eb89808d71ea01f4ce8d09133e08"
+        )
+
 
 class TestOpponents:
     def test_greedy_courier_carries_block_to_goal(self):
@@ -144,7 +154,7 @@ class TestOpponents:
         world = World(cfg, 0)
         courier = GreedyCourier(["beta01"], 0)
         for step in range(60):
-            world.step(courier.act(world, step))
+            world.step(courier.act(world, step), ())
             if world.agents["beta01"].pos == (10, 10) and world.agents["beta01"].held:
                 break
         assert world.agents["beta01"].pos == (10, 10)

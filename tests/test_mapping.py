@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import scripted_world
+from conftest import percept_of, scripted_world
 from torusarena.mapping import (
     CartographyFault,
     LocalMap,
@@ -21,20 +21,20 @@ class TestLocalMap:
     def test_record_statics_offsets_from_self(self):
         w = scripted_world(40, 40, {"alpha": [(10, 10)]}, dispensers=[((13, 10), "b1")])
         local = LocalMap(owner="alpha01", self_pos=(10, 10))
-        record_statics(local, w.percept("alpha01"))
+        record_statics(local, percept_of(w, "alpha01"))
         assert local.dispensers == {((13, 10), "b1")}
 
     def test_dynamic_things_ignored(self):
         w = scripted_world(40, 40, {"alpha": [(10, 10)], "beta": [(12, 10)]})
         local = LocalMap(owner="alpha01")
-        record_statics(local, w.percept("alpha01"))
+        record_statics(local, percept_of(w, "alpha01"))
         assert local.entity_count() == 0
 
     def test_reobservation_does_not_duplicate(self):
         w = scripted_world(40, 40, {"alpha": [(10, 10)]}, dispensers=[((13, 10), "b1")])
         local = LocalMap(owner="alpha01", self_pos=(10, 10))
-        record_statics(local, w.percept("alpha01"))
-        record_statics(local, w.percept("alpha01"))
+        record_statics(local, percept_of(w, "alpha01"))
+        record_statics(local, percept_of(w, "alpha01"))
         assert len(local.dispensers) == 1
 
     def test_goals_and_taskboards_recorded(self):
@@ -42,7 +42,7 @@ class TestLocalMap:
             40, 40, {"alpha": [(10, 10)]}, goals=[(9, 9)], taskboards=[(11, 12)]
         )
         local = LocalMap(owner="alpha01", self_pos=(10, 10))
-        record_statics(local, w.percept("alpha01"))
+        record_statics(local, percept_of(w, "alpha01"))
         assert local.goals == {(9, 9)} and local.taskboards == {(11, 12)}
 
 
@@ -94,10 +94,10 @@ def walk(world, store, name, moves):
     """Drive one agent, maintaining its local map exactly as the controller
     would: advance on success, record statics every step."""
     for d in moves:
-        _, _ = world.step({name: Action.move(d)})
+        _, _ = world.step({name: Action.move(d)}, ())
         if world.agents[name].last_result == ("move", "success"):
             store.maps[name].advance(DIR_OFFSETS[d])
-        record_statics(store.maps[name], world.percept(name))
+        record_statics(store.maps[name], percept_of(world, name))
 
 
 class TestMerge:
@@ -132,8 +132,8 @@ class TestMerge:
             dispensers=[((4, 1), "b1"), ((8, 3), "b2")],
         )
         store = MapStore(["alpha01", "alpha02"])
-        record_statics(store.maps["alpha01"], w.percept("alpha01"))
-        record_statics(store.maps["alpha02"], w.percept("alpha02"))
+        record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))
+        record_statics(store.maps["alpha02"], percept_of(w, "alpha02"))
         store.queue_sighting(self.sight(w, store, "alpha01", "alpha02"))
         records = store.process_merges()
         assert len(records) == 1
@@ -194,8 +194,8 @@ class TestMerge:
 
         def build(swap):
             store = MapStore(["alpha01", "alpha02"])
-            record_statics(store.maps["alpha01"], w.percept("alpha01"))
-            record_statics(store.maps["alpha02"], w.percept("alpha02"))
+            record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))
+            record_statics(store.maps["alpha02"], percept_of(w, "alpha02"))
             a, b = ("alpha02", "alpha01") if swap else ("alpha01", "alpha02")
             store.queue_sighting(self.sight(w, store, a, b))
             store.process_merges()
@@ -228,8 +228,8 @@ class TestMerge:
                 continue
             store = MapStore(["alpha01", "alpha02"])
             store.set_dims(Dims(8, 8))
-            record_statics(store.maps["alpha01"], w.percept("alpha01"))
-            record_statics(store.maps["alpha02"], w.percept("alpha02"))
+            record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))
+            record_statics(store.maps["alpha02"], percept_of(w, "alpha02"))
             store.queue_sighting(self.sight(w, store, "alpha01", "alpha02"))
             store.process_merges()
             self.ground_truth_ok(w, store)

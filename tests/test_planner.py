@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import scripted_world
+from conftest import percept_of, scripted_world
 from torusarena.plan_cache import decode_key
 from torusarena.planner import (
     BLOCKED,
@@ -219,7 +219,7 @@ class TestUnreachable:
 class TestBuildProblem:
     def world_percept(self, **kw):
         w = scripted_world(30, 30, {"alpha": [(15, 15)], "beta": [(16, 15)]}, **kw)
-        return w.percept("alpha01")
+        return percept_of(w, "alpha01")
 
     def test_enemy_is_blocked(self):
         p = build_problem(self.world_percept(), (0, -5), energy=100, clear_threshold=30)
@@ -246,10 +246,10 @@ class TestBuildProblem:
             {"alpha": [(15, 15)]},
             dispensers=[((15, 16), "b1"), ((16, 15), "b1")],
         )
-        w.step({"alpha01": Action.request("s")})
-        w.step({"alpha01": Action.attach("s")})
-        w.step({"alpha01": Action.request("e")})
-        p = build_problem(w.percept("alpha01"), (0, -5), 100, 30)
+        w.step({"alpha01": Action.request("s")}, ())
+        w.step({"alpha01": Action.attach("s")}, ())
+        w.step({"alpha01": Action.request("e")}, ())
+        p = build_problem(percept_of(w, "alpha01"), (0, -5), 100, 30)
         assert p.attached == (0, 1)
         assert p.label_at((0, 1)) == EMPTY  # travels with me
         assert p.label_at((1, 0)) == BLOCKED  # loose block on the dispenser
@@ -258,23 +258,23 @@ class TestBuildProblem:
 class TestGoodCell:
     def test_clear_diamond_picks_boundary_toward_destination(self):
         w = scripted_world(60, 60, {"alpha": [(10, 10)]})
-        off = select_good_cell(w.percept("alpha01"), (30, 10), (10, 10), Dims(60, 60))
+        off = select_good_cell(percept_of(w, "alpha01"), (30, 10), (10, 10), Dims(60, 60))
         assert off == (5, 0)
 
     def test_destination_inside_diamond(self):
         w = scripted_world(60, 60, {"alpha": [(10, 10)]})
-        off = select_good_cell(w.percept("alpha01"), (12, 12), (10, 10), Dims(60, 60))
+        off = select_good_cell(percept_of(w, "alpha01"), (12, 12), (10, 10), Dims(60, 60))
         assert off == (2, 2)
 
     def test_blocked_east_boundary_picks_best_remaining(self):
         wall = [((15, 10), "b1")]  # block sitting exactly on the boundary cell
         w = scripted_world(60, 60, {"alpha": [(10, 10)]}, dispensers=wall)
-        w.step({"alpha01": Action.request("e")})  # no dispenser adjacent: fails
+        w.step({"alpha01": Action.request("e")}, ())  # no dispenser adjacent: fails
         # Place blocks by hand instead: occupy (15,10) via a scripted block.
         from torusarena.world import Block
 
         w.blocks[(15, 10)] = Block("b1")
-        percept = w.percept("alpha01")
+        percept = percept_of(w, "alpha01")
         off = select_good_cell(percept, (30, 10), (10, 10), Dims(60, 60))
         # Brute scan: best remaining free cell by remaining distance.
         best = min(
@@ -295,24 +295,24 @@ class TestGoodCell:
             if off != (0, 0):
                 cell = ((5 + off[0]) % 12, (5 + off[1]) % 12)
                 w.blocks.setdefault(cell, Block("b1"))
-        assert select_good_cell(w.percept("alpha01"), (0, 0), (5, 5), Dims(12, 12)) is None
+        assert select_good_cell(percept_of(w, "alpha01"), (0, 0), (5, 5), Dims(12, 12)) is None
 
 
 class TestFallback:
     def test_moves_toward_destination(self):
         w = scripted_world(20, 20, {"alpha": [(5, 5)]})
-        act = fallback_one_step(w.percept("alpha01"), (5, 5), (9, 5), Dims(20, 20))
+        act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (9, 5), Dims(20, 20))
         assert act == Action.move("e")
 
     def test_all_neighbors_blocked_skips(self):
         w = scripted_world(20, 20, {"alpha": [(5, 5)]}, obstacles=[(5, 4), (5, 6), (4, 5), (6, 5)])
-        act = fallback_one_step(w.percept("alpha01"), (5, 5), (9, 5), Dims(20, 20))
+        act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (9, 5), Dims(20, 20))
         assert act == Action.skip()
 
     def test_tie_break_follows_nsew(self):
         w = scripted_world(20, 20, {"alpha": [(5, 5)]})
         # Destination diagonal: north and east both reduce distance; N wins.
-        act = fallback_one_step(w.percept("alpha01"), (5, 5), (8, 2), Dims(20, 20))
+        act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (8, 2), Dims(20, 20))
         assert act == Action.move("n")
 
 
@@ -323,10 +323,10 @@ class TestNavigator:
         pos = world.agents[name].pos
         steps = 0
         while pos != dest and steps < max_steps:
-            percept = world.percept(name)
+            percept = percept_of(world, name)
             nav.note_result(percept.last_action_result)
             act = nav.next_action(percept, pos, world.dims)
-            world.step({name: act})
+            world.step({name: act}, ())
             pos = world.agents[name].pos
             steps += 1
         return steps, nav
@@ -348,13 +348,13 @@ class TestNavigator:
         failures = 0
         steps = 0
         while w.agents[name].pos != (11, 5) and steps < 30:
-            percept = w.percept(name)
+            percept = percept_of(w, name)
             nav.note_result(percept.last_action_result)
             act = nav.next_action(percept, w.agents[name].pos, w.dims)
             blocker = (
                 Action.move(blocker_moves[steps]) if steps < len(blocker_moves) else Action.skip()
             )
-            _, events = w.step({name: act, "alpha02": blocker})
+            _, events = w.step({name: act, "alpha02": blocker}, ())
             failures += sum(
                 1
                 for e in events
@@ -375,8 +375,8 @@ class TestNavigator:
         nav = Navigator(solve_fn=solve, clear_threshold=1000)  # clears disallowed
         nav.set_destination((15, 5))
         for _ in range(12):
-            percept = w.percept("alpha01")
+            percept = percept_of(w, "alpha01")
             nav.note_result(percept.last_action_result)
             act = nav.next_action(percept, w.agents["alpha01"].pos, w.dims)
-            w.step({"alpha01": act})
+            w.step({"alpha01": act}, ())
         assert nav.stuck

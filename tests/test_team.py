@@ -1,4 +1,4 @@
-from conftest import scripted_world
+from conftest import percept_of, scripted_world
 from torusarena.team import (
     BULLY_BOUNCER,
     BULLY_HUNTER,
@@ -110,7 +110,7 @@ class TestCartographyLifecycle:
         return scripted_world(30, 30, {"alpha": [(10, 10), (13, 10)]})
 
     def run_round(self, team, world, step=0):
-        percepts = {n: world.percept(n) for n in team.names}
+        percepts = {n: percept_of(world, n) for n in team.names}
         return team.act(percepts, step)
 
     def test_first_mutual_identification_adopts_horizontal(self):
@@ -170,12 +170,12 @@ class TestBullies:
         }
         rt = team.runtimes["alpha01"]
         rt.bully.relocate_after = 12
-        percepts = w.percepts()
+        percepts = w.percepts(["alpha01"])
         centers = set()
         # Liveness: every known cluster is visited within clusters x threshold.
         for step in range(2 * 12 + 20):
             acts = team.act({"alpha01": percepts["alpha01"]}, step)
-            percepts, _ = w.step(acts)
+            percepts, _ = w.step(acts, ["alpha01"])
             team.drain_events()
             centers.add(rt.bully.patrol_center)
         assert len(centers) >= 2, "hunter never toured the second cluster"
@@ -189,19 +189,19 @@ class TestBullies:
         rt.role = BULLY_BOUNCER
         rt.bully.kind = "bouncer"
         rt.bully.relocate_after = 5
-        percepts = w.percepts()
+        percepts = w.percepts(["alpha01"])
         for step in range(20):
             acts = team.act({"alpha01": percepts["alpha01"]}, step)
-            percepts, _ = w.step(acts)
+            percepts, _ = w.step(acts, ["alpha01"])
         assert not [e for e in team.drain_events() if e["type"] == "bully_relocated"]
 
     def test_explorer_becomes_bouncer_on_goal_sighting(self):
         w = scripted_world(30, 30, {"alpha": [(10, 8)]}, goals=[(10, 10)])
         team = TeamController("alpha", ["alpha01"], seed=0)
-        percepts = w.percepts()
+        percepts = w.percepts(["alpha01"])
         for step in range(3):
             acts = team.act({"alpha01": percepts["alpha01"]}, step)
-            percepts, _ = w.step(acts)
+            percepts, _ = w.step(acts, ["alpha01"])
         assert team.runtimes["alpha01"].role == BULLY_BOUNCER
         assert team.bouncer_count == 1
 
@@ -216,10 +216,10 @@ class TestBullies:
         # Give the enemy a block first.
         from torusarena.world import Action
 
-        w.step({"beta01": Action.request("n")})
-        w.step({"beta01": Action.attach("n")})
+        w.step({"beta01": Action.request("n")}, ())
+        w.step({"beta01": Action.attach("n")}, ())
         team = self.hunter(w, center=(10, 10))
-        percepts = w.percepts()
+        percepts = w.percepts(["alpha01"])
         acts = team.act({"alpha01": percepts["alpha01"]}, 0)
         assert acts["alpha01"].kind == "clear"
 
@@ -259,11 +259,11 @@ def test_integration_building_and_task_selection():
     world = World(cfg, 5)
     names = [n for n, a in world.agents.items() if a.team == "alpha"]
     team = TeamController("alpha", names, seed=5)
-    percepts = world.percepts()
+    percepts = world.percepts(names)
     seen = set()
     for step in range(200):
-        acts = team.act({n: percepts[n] for n in names}, step)
-        percepts, _ = world.step(acts)
+        acts = team.act(percepts, step)
+        percepts, _ = world.step(acts, names)
         seen |= {e["type"] for e in team.drain_events()}
         world.check_invariants()
     assert "cartography_finished" in seen
@@ -281,7 +281,7 @@ def test_failed_accept_is_not_counted_as_accepted():
     team.width, team.height = 30, 30
     team.store.set_dims(world.dims)
     team.building = True
-    percepts = world.percepts()
+    percepts = world.percepts(team.names)
     task = percepts["alpha02"].tasks[0]
     team.groups = [
         TaskGroup(
@@ -302,6 +302,6 @@ def test_failed_accept_is_not_counted_as_accepted():
     for step in range(2):
         actions = team.act(percepts, step)
         assert actions["alpha02"] == Action.accept(task.name)
-        percepts, _ = world.step(actions)
+        percepts, _ = world.step(actions, team.names)
         assert percepts["alpha02"].last_action_result == ("accept", "failed:too_far")
         assert task.name not in deliverer.accepted_tasks

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import scripted_world
+from conftest import percept_of, scripted_world
 from torusarena.harness import PRESETS, GreedyCourier, MatchConfig
-from torusarena.world import Action, Thing, World, WorldConfig, WorldConfigError
+from torusarena.torus import DIAMOND, add, wrap
+from torusarena.world import Action, Percept, Thing, World, WorldConfig, WorldConfigError
 
 STEP_DIRS = ["n", "s", "e", "w"]
 
@@ -29,7 +30,7 @@ def drive(world, rounds, seed=1):
                 actions[name] = Action.clear((rng.randint(-2, 2), rng.randint(-2, 2)))
             else:
                 actions[name] = Action.skip()
-        _, events = world.step(actions)
+        _, events = world.step(actions, ())
         all_events.extend(events)
         world.check_invariants()
     return all_events
@@ -57,35 +58,35 @@ class TestConstruction:
 class TestPercept:
     def test_alone_sees_no_things(self):
         w = scripted_world(20, 20, {"alpha": [(10, 10)]})
-        assert w.percept("alpha01").things == ()
+        assert percept_of(w, "alpha01").things == ()
 
     def test_dispenser_three_cells_east(self):
         w = scripted_world(20, 20, {"alpha": [(10, 10)]}, dispensers=[((13, 10), "b1")])
-        assert w.percept("alpha01").things == (Thing((3, 0), "dispenser", "b1"),)
+        assert percept_of(w, "alpha01").things == (Thing((3, 0), "dispenser", "b1"),)
 
     def test_mutually_visible_teammates_see_entities_with_team_name(self):
         w = scripted_world(20, 20, {"alpha": [(5, 10), (9, 10)]})
-        p1, p2 = w.percept("alpha01"), w.percept("alpha02")
+        p1, p2 = percept_of(w, "alpha01"), percept_of(w, "alpha02")
         assert Thing((4, 0), "entity", "alpha") in p1.things
         assert Thing((-4, 0), "entity", "alpha") in p2.things
 
     def test_unknown_agent_raises(self):
         w = scripted_world(20, 20, {"alpha": [(10, 10)]})
         with pytest.raises(KeyError):
-            w.percept("ghost")
+            w.percepts(["ghost"])
 
     def test_offsets_bounded_by_vision(self):
         w = scripted_world(
             20, 20, {"alpha": [(10, 10)]}, dispensers=[((16, 10), "b1"), ((15, 10), "b2")]
         )
-        p = w.percept("alpha01")
+        p = percept_of(w, "alpha01")
         assert p.things == (Thing((5, 0), "dispenser", "b2"),)
 
     def test_agent_sees_itself_across_a_narrow_grid(self):
         # On a side of at most 2 * VISION_RADIUS the diamond wraps onto the
         # agent's own cell at a non-zero offset, and the percept lists it.
         w = scripted_world(5, 20, {"alpha": [(2, 10)]})
-        assert w.percept("alpha01").things == (
+        assert percept_of(w, "alpha01").things == (
             Thing((-5, 0), "entity", "alpha"),
             Thing((5, 0), "entity", "alpha"),
         )
@@ -109,27 +110,27 @@ class TestPerceptQuery:
         couriers = GreedyCourier(list(w.agents), cfg.seed)
         seen = [0, 0, 0]
         for step in range(12):
-            for p in w.percepts().values():
+            for p in w.percepts(w.agents).values():
                 expected = self.scans(p)
                 assert (p.occupied, p.blocks, p.obstacles) == expected
                 for i, cells in enumerate(expected):
                     seen[i] += len(cells)
-            w.step(couriers.act(w, step))
+            w.step(couriers.act(w, step), ())
         assert all(seen), seen  # every set was non-empty somewhere
 
     def test_block_on_a_dispenser(self):
         w = scripted_world(
             20, 20, {"alpha": [(3, 3)]}, obstacles=[(3, 5)], dispensers=[((4, 3), "b1")]
         )
-        w.step({"alpha01": Action.request("e")})
-        p = w.percept("alpha01")
+        w.step({"alpha01": Action.request("e")}, ())
+        p = percept_of(w, "alpha01")
         assert p.things == (Thing((1, 0), "block", "b1"), Thing((1, 0), "dispenser", "b1"))
         assert (p.occupied, p.blocks, p.obstacles) == self.scans(p)
         assert p.blocks == {(1, 0)} and p.obstacles == {(0, 2)}
 
     def test_cached_sets_leave_equality_and_hash_alone(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3), (5, 3)]}, obstacles=[(3, 5)])
-        p, fresh = w.percept("alpha01"), w.percept("alpha01")
+        p, fresh = percept_of(w, "alpha01"), percept_of(w, "alpha01")
         assert p.occupied == {(2, 0)} and p.obstacles == {(0, 2)}
         assert p == fresh and hash(p) == hash(fresh)
 
@@ -137,25 +138,25 @@ class TestPerceptQuery:
 class TestMove:
     def test_move_north_wraps(self):
         w = scripted_world(50, 50, {"alpha": [(0, 0)]})
-        w.step({"alpha01": Action.move("n")})
+        w.step({"alpha01": Action.move("n")}, ())
         assert w.agents["alpha01"].pos == (0, 49)
 
     def test_skip_recharges_and_stays(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]})
         w.agents["alpha01"].energy = 50
-        w.step({"alpha01": Action.skip()})
+        w.step({"alpha01": Action.skip()}, ())
         assert w.agents["alpha01"].pos == (3, 3)
         assert w.agents["alpha01"].energy == 51
 
     def test_move_into_obstacle_fails(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]}, obstacles=[(4, 3)])
-        w.step({"alpha01": Action.move("e")})
+        w.step({"alpha01": Action.move("e")}, ())
         assert w.agents["alpha01"].pos == (3, 3)
         assert w.agents["alpha01"].last_result == ("move", "failed:blocked")
 
     def test_contested_cell_goes_to_lower_name(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3), (5, 3)]})
-        w.step({"alpha01": Action.move("e"), "alpha02": Action.move("w")})
+        w.step({"alpha01": Action.move("e"), "alpha02": Action.move("w")}, ())
         assert w.agents["alpha01"].pos == (4, 3)
         assert w.agents["alpha02"].pos == (5, 3)
         assert w.agents["alpha02"].last_result == ("move", "failed:blocked")
@@ -165,39 +166,39 @@ class TestClear:
     def test_obstacle_survives_two_charges_and_falls_on_third(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]}, obstacles=[(5, 3)])
         for expected in ["obstacle", "obstacle", "empty"]:
-            w.step({"alpha01": Action.clear((2, 0))})
+            w.step({"alpha01": Action.clear((2, 0))}, ())
             assert w.terrain[(5, 3)] == expected
 
     def test_interrupted_charge_resets(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]}, obstacles=[(5, 3)])
-        w.step({"alpha01": Action.clear((2, 0))})
-        w.step({"alpha01": Action.clear((2, 0))})
-        w.step({"alpha01": Action.skip()})
-        w.step({"alpha01": Action.clear((2, 0))})
+        w.step({"alpha01": Action.clear((2, 0))}, ())
+        w.step({"alpha01": Action.clear((2, 0))}, ())
+        w.step({"alpha01": Action.skip()}, ())
+        w.step({"alpha01": Action.clear((2, 0))}, ())
         assert w.terrain[(5, 3)] == "obstacle"
 
     def test_energy_gate_and_cost(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]}, obstacles=[(5, 3)])
         w.agents["alpha01"].energy = 10
-        w.step({"alpha01": Action.clear((2, 0))})
+        w.step({"alpha01": Action.clear((2, 0))}, ())
         assert w.agents["alpha01"].last_result == ("clear", "failed:no_energy")
         w.agents["alpha01"].energy = 100
         for _ in range(3):
-            w.step({"alpha01": Action.clear((2, 0))})
+            w.step({"alpha01": Action.clear((2, 0))}, ())
         assert w.agents["alpha01"].energy == 100 - 30 + 1
 
     def test_out_of_range(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]})
-        w.step({"alpha01": Action.clear((4, 2))})
+        w.step({"alpha01": Action.clear((4, 2))}, ())
         assert w.agents["alpha01"].last_result == ("clear", "failed:out_of_range")
 
     def test_clear_disables_agent_on_target(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)], "beta": [(5, 3)]})
         for _ in range(3):
-            w.step({"alpha01": Action.clear((2, 0))})
+            w.step({"alpha01": Action.clear((2, 0))}, ())
         victim = w.agents["beta01"]
         assert victim.disabled_until > w.step_num
-        w.step({"beta01": Action.move("e")})
+        w.step({"beta01": Action.move("e")}, ())
         assert victim.last_result == ("move", "failed:disabled")
 
 
@@ -215,25 +216,25 @@ class TestBlocksAndTasks:
 
     def test_request_attach_accept_submit_scores(self):
         w = self.build()
-        w.step({"alpha01": Action.request("e")})
+        w.step({"alpha01": Action.request("e")}, ())
         assert (4, 3) in w.blocks
-        w.step({"alpha01": Action.attach("e")})
+        w.step({"alpha01": Action.attach("e")}, ())
         assert w.blocks[(4, 3)].holder == "alpha01"
-        w.step({"alpha01": Action.rotate("cw")})  # block east -> south
+        w.step({"alpha01": Action.rotate("cw")}, ())  # block east -> south
         assert (3, 4) in w.blocks
-        w.step({"alpha01": Action.move("s")})
-        w.step({"alpha01": Action.accept("t1")})  # (3,4) is within 2 of board (3,5)
+        w.step({"alpha01": Action.move("s")}, ())
+        w.step({"alpha01": Action.accept("t1")}, ())  # (3,4) is within 2 of board (3,5)
         assert w.agents["alpha01"].last_result == ("accept", "success")
-        w.step({"alpha01": Action.move("s")})
-        w.step({"alpha01": Action.move("s")})  # now on goal (3,6), block at (3,7)
-        w.step({"alpha01": Action.submit("t1")})
+        w.step({"alpha01": Action.move("s")}, ())
+        w.step({"alpha01": Action.move("s")}, ())  # now on goal (3,6), block at (3,7)
+        w.step({"alpha01": Action.submit("t1")}, ())
         assert w.agents["alpha01"].last_result == ("submit", "success")
         assert w.scores["alpha"] == 10
         assert not w.blocks
 
     def test_accept_too_far(self):
         w = self.build()
-        w.step({"alpha01": Action.accept("t1")})  # (3,3) is 2 from board... exactly 2
+        w.step({"alpha01": Action.accept("t1")}, ())  # (3,3) is 2 from board... exactly 2
         assert w.agents["alpha01"].last_result == ("accept", "success")
         w2 = scripted_world(
             20,
@@ -242,12 +243,12 @@ class TestBlocksAndTasks:
             taskboards=[(3, 5)],
             tasks=[(0, "t1", 10, 100, [((0, 1), "b1")])],
         )
-        w2.step({"alpha01": Action.accept("t1")})
+        w2.step({"alpha01": Action.accept("t1")}, ())
         assert w2.agents["alpha01"].last_result == ("accept", "failed:too_far")
 
     def test_submit_requires_acceptance_goal_and_exact_blocks(self):
         w = self.build()
-        w.step({"alpha01": Action.submit("t1")})
+        w.step({"alpha01": Action.submit("t1")}, ())
         assert w.agents["alpha01"].last_result == ("submit", "failed:not_accepted")
 
     def test_attach_enemy_held_structure_fails(self):
@@ -257,9 +258,9 @@ class TestBlocksAndTasks:
             {"alpha": [(3, 3)], "beta": [(5, 3)]},
             dispensers=[((4, 3), "b1")],
         )
-        w.step({"alpha01": Action.request("e")})
-        w.step({"alpha01": Action.attach("e")})
-        w.step({"beta01": Action.attach("w")})
+        w.step({"alpha01": Action.request("e")}, ())
+        w.step({"alpha01": Action.attach("e")}, ())
+        w.step({"beta01": Action.attach("w")}, ())
         assert w.agents["beta01"].last_result == ("attach", "failed:enemy_attached")
 
     def test_connect_detach_and_reattach_of_linked_component(self):
@@ -269,22 +270,22 @@ class TestBlocksAndTasks:
             {"alpha": [(3, 3), (2, 5)]},
             dispensers=[((3, 4), "b1"), ((3, 5), "b2")],
         )
-        w.step({"alpha01": Action.request("s"), "alpha02": Action.request("e")})
-        w.step({"alpha01": Action.attach("s"), "alpha02": Action.attach("e")})
+        w.step({"alpha01": Action.request("s"), "alpha02": Action.request("e")}, ())
+        w.step({"alpha01": Action.attach("s"), "alpha02": Action.attach("e")}, ())
         # A connect naming a cell the issuer holds nothing on is refused.
-        w.step({"alpha02": Action.connect("alpha01", (0, 1))})
+        w.step({"alpha02": Action.connect("alpha01", (0, 1))}, ())
         assert w.agents["alpha02"].last_result == ("connect", "failed:no_block")
         # Transfer alpha02's block: (3,5) is adjacent to alpha01's (3,4).
-        w.step({"alpha02": Action.connect("alpha01", (1, 0))})
+        w.step({"alpha02": Action.connect("alpha01", (1, 0))}, ())
         assert w.agents["alpha02"].last_result == ("connect", "success")
         assert w.agents["alpha01"].held == {(3, 4), (3, 5)}
         assert frozenset(((3, 4), (3, 5))) in w.links
         # Detaching south releases the whole linked chain to the ground.
-        w.step({"alpha01": Action.detach("s")})
+        w.step({"alpha01": Action.detach("s")}, ())
         assert w.agents["alpha01"].held == set()
         assert w.blocks[(3, 4)].holder is None and w.blocks[(3, 5)].holder is None
         # Re-attaching grabs the component back through the surviving link.
-        w.step({"alpha01": Action.attach("s")})
+        w.step({"alpha01": Action.attach("s")}, ())
         assert w.agents["alpha01"].held == {(3, 4), (3, 5)}
 
     def test_links_follow_moves_and_rotations_of_their_holder(self):
@@ -294,13 +295,13 @@ class TestBlocksAndTasks:
             {"alpha": [(3, 3), (2, 5)]},
             dispensers=[((3, 4), "b1"), ((3, 5), "b2")],
         )
-        w.step({"alpha01": Action.request("s"), "alpha02": Action.request("e")})
-        w.step({"alpha01": Action.attach("s"), "alpha02": Action.attach("e")})
-        w.step({"alpha02": Action.connect("alpha01", (1, 0))})
-        w.step({"alpha01": Action.move("e")})
+        w.step({"alpha01": Action.request("s"), "alpha02": Action.request("e")}, ())
+        w.step({"alpha01": Action.attach("s"), "alpha02": Action.attach("e")}, ())
+        w.step({"alpha02": Action.connect("alpha01", (1, 0))}, ())
+        w.step({"alpha01": Action.move("e")}, ())
         assert w.agents["alpha01"].held == {(4, 4), (4, 5)}
         assert w.links == {frozenset(((4, 4), (4, 5)))}
-        w.step({"alpha01": Action.rotate("cw")})
+        w.step({"alpha01": Action.rotate("cw")}, ())
         assert w.agents["alpha01"].held == {(3, 3), (2, 3)}
         assert w.links == {frozenset(((3, 3), (2, 3)))}
         w.check_invariants()
@@ -314,7 +315,7 @@ class TestBlocksAndTasks:
         )
         assert [t.name for t in w.active_tasks()] == ["t1"]
         for _ in range(4):
-            w.step({})
+            w.step({}, ())
         assert w.active_tasks() == []
 
 
@@ -335,20 +336,20 @@ class TestOccupantIndex:
             dispensers=[((3, 4), "b1")],
         )
         self.assert_index(w)
-        w.step({"alpha01": Action.request("s")})
-        w.step({"alpha01": Action.attach("s"), "alpha02": Action.move("w")})
+        w.step({"alpha01": Action.request("s")}, ())
+        w.step({"alpha01": Action.attach("s"), "alpha02": Action.move("w")}, ())
         assert w.agents["alpha02"].pos == (5, 6)
         self.assert_index(w)
-        w.step({"alpha01": Action.rotate("cw")})
+        w.step({"alpha01": Action.rotate("cw")}, ())
         assert w.agents["alpha01"].held == {(2, 3)}
         self.assert_index(w)
-        w.step({"alpha01": Action.move("e"), "beta01": Action.move("s")})
+        w.step({"alpha01": Action.move("e"), "beta01": Action.move("s")}, ())
         assert w.agents["alpha01"].last_result == ("move", "failed:blocked")
         assert w.agents["beta01"].pos == (3, 2)
         self.assert_index(w)
-        w.step({"alpha01": Action.move("n")})
+        w.step({"alpha01": Action.move("n")}, ())
         assert w.agents["alpha01"].last_result == ("move", "failed:blocked")
-        w.step({"alpha01": Action.move("s"), "beta01": Action.move("w")})
+        w.step({"alpha01": Action.move("s"), "beta01": Action.move("w")}, ())
         assert w.agents["alpha01"].pos == (3, 4)
         assert w.agents["beta01"].pos == (2, 2)
         self.assert_index(w)
@@ -376,7 +377,7 @@ class TestOccupantIndex:
                 )
                 for name in w.agents
             }
-            _, events = w.step(actions)
+            _, events = w.step(actions, ())
             for e in events:
                 if e["type"] == "action":
                     seen.add((e["action"].split()[0], e["result"]))
@@ -418,7 +419,7 @@ class TestFuzzInvariants:
                 )
                 for name in w.agents
             }
-            _, events = w.step(actions)
+            _, events = w.step(actions, ())
             w.check_invariants()
             # Conservation: blocks appear only via request, disappear only
             # via completed clears (actions or events) or submit.
@@ -450,3 +451,115 @@ class TestFuzzInvariants:
         e2 = drive(w2, 60, seed=2)
         assert e1 == e2
         assert w1.layout_digest() == w2.layout_digest()
+
+
+# ------------------------------------------------------- percept reference
+
+
+def reference_percept(world, name):
+    """A percept built the plain way, as an oracle: the wrapped cell of each
+    diamond offset in unrolling order, occupants found by scanning every
+    agent, then each list sorted."""
+    me = world.agents[name]
+    things, terrain, boards = [], [], []
+    for off in DIAMOND:
+        cell = wrap(*add(me.pos, off), world.dims)
+        if off != (0, 0):
+            things.extend(
+                Thing(off, "entity", a.team) for a in world.agents.values() if a.pos == cell
+            )
+        if cell in world.blocks:
+            things.append(Thing(off, "block", world.blocks[cell].type))
+        if cell in world.dispensers:
+            things.append(Thing(off, "dispenser", world.dispensers[cell]))
+        if world.terrain[cell] != "empty":
+            terrain.append((off, world.terrain[cell]))
+        if cell in world.taskboards:
+            boards.append(off)
+    return Percept(
+        self_energy=me.energy,
+        self_attached=tuple(me.attached_offsets(world)),
+        things=tuple(sorted(things)),
+        terrain=tuple(sorted(terrain)),
+        taskboards=tuple(sorted(boards)),
+        tasks=tuple(world.active_tasks()),
+        last_action_result=me.last_result,
+    )
+
+
+class TestPerceptsAgainstReference:
+    def assert_percepts_are_the_reference(self, world, names):
+        got = world.percepts(names)
+        assert list(got) == list(names)
+        for name in names:
+            assert got[name] == reference_percept(world, name), name
+
+    # (5, 9): the diamond wraps onto the agent's own cell at (+-5, 0).
+    # (9, 9) and (10, 7): it wraps, so cells are seen at two offsets.
+    @pytest.mark.parametrize("dims", [(5, 9), (9, 9), (10, 7), (16, 12)])
+    def test_seeded_worlds_with_blocks_and_clear_events(self, dims):
+        cfg = WorldConfig(
+            dims=dims,
+            teams={"alpha": 4, "beta": 3},
+            obstacle_density=0.1,
+            goal_cluster_size=3,
+            dispensers_per_type=2,
+            taskboard_count=1,
+            task_interval=5,
+            clear_event_rate=0.2,
+        )
+        w = World(cfg, 4)
+        couriers = GreedyCourier(list(w.agents), 4)
+        alpha = [n for n in sorted(w.agents) if w.agents[n].team == "alpha"]
+        held = after_clear = 0
+        cleared = False
+        for step in range(60):
+            self.assert_percepts_are_the_reference(w, sorted(w.agents))
+            held += sum(len(a.held) for a in w.agents.values())
+            after_clear += cleared
+            percepts, events = w.step(couriers.act(w, step), alpha)
+            assert list(percepts) == alpha
+            cleared = any(e["type"] == "clear_event" for e in events)
+        assert held and after_clear
+        if dims[0] <= 5:
+            me = percept_of(w, "alpha01")
+            assert Thing((5, 0), "entity", "alpha") in me.things
+            assert Thing((-5, 0), "entity", "alpha") in me.things
+
+    def test_agents_on_dispensers_with_held_blocks(self):
+        w = scripted_world(
+            20,
+            20,
+            {"alpha": [(5, 5), (7, 5)], "beta": [(6, 7)]},
+            dispensers=[((5, 5), "b1"), ((8, 5), "b2"), ((6, 7), "b2")],
+            taskboards=[(7, 7)],
+            goals=[(4, 6)],
+            obstacles=[(6, 4)],
+        )
+        names = ["alpha01", "alpha02", "beta01"]
+        self.assert_percepts_are_the_reference(w, names)
+        assert Thing((0, 0), "dispenser", "b1") in percept_of(w, "alpha01").things
+        for acts in (
+            {"alpha02": Action.request("e")},
+            {"alpha02": Action.attach("e")},
+            {"alpha02": Action.rotate("cw")},
+            {"alpha02": Action.move("s")},
+        ):
+            w.step(acts, names)
+            self.assert_percepts_are_the_reference(w, names)
+        assert percept_of(w, "alpha02").self_attached == (((0, 1), "b2"),)
+        seen = percept_of(w, "alpha01").things
+        # beta01 stands on a dispenser; the held block on the task board.
+        assert {Thing((1, 2), "dispenser", "b2"), Thing((1, 2), "entity", "beta")} <= set(seen)
+        assert Thing((2, 2), "block", "b2") in seen
+
+    def test_only_the_named_agents_are_built(self):
+        w = scripted_world(20, 20, {"alpha": [(5, 5), (7, 5)], "beta": [(9, 5)]})
+        assert list(w.percepts(["beta01", "alpha02"])) == ["beta01", "alpha02"]
+        assert w.percepts([]) == {}
+        percepts, events = w.step({}, ())
+        assert percepts == {} and events
+        percepts, _ = w.step({}, ["alpha01"])
+        assert list(percepts) == ["alpha01"]
+        with pytest.raises(KeyError):
+            w.percepts(["alpha01", "ghost"])
