@@ -310,19 +310,16 @@ def replay(lines: list[str]) -> MatchReport:
     """Rebuild the report from a log alone, verifying its integrity."""
     if not lines:
         raise ReplayError("empty log", -1)
-    last_step = -1
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
+    header = _record(lines[0])
+    if header is None:
         raise ReplayError("unreadable header", -1)
     if header.get("type") != "header":
         raise ReplayError("missing header", -1)
     if header.get("format") != LOG_FORMAT_VERSION:
         raise ReplayError(f"unsupported format {header.get('format')}", -1)
-    try:
-        footer = json.loads(lines[-1])
-    except json.JSONDecodeError:
-        raise ReplayError("unreadable footer", last_step)
+    footer = _record(lines[-1])
+    if footer is None:
+        raise ReplayError("unreadable footer", _last_step(lines))
     if footer.get("type") != "footer":
         raise ReplayError("missing footer (truncated log)", _last_step(lines))
     if footer.get("sha256") != log_digest(lines[:-1]):
@@ -330,12 +327,20 @@ def replay(lines: list[str]) -> MatchReport:
     return _report_from_log(lines)
 
 
+def _record(line: str) -> Optional[dict]:
+    """The JSON object on a log line, None when the line holds anything else."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def _last_step(lines: list[str]) -> int:
     last = -1
     for line in lines[1:]:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+        record = _record(line)
+        if record is None:
             break
         last = record.get("step", last)
     return last
@@ -345,6 +350,8 @@ def _report_from_log(lines: list[str]) -> MatchReport:
     report = MatchReport(scores={TEAM: 0, OPPONENT: 0}, tasks_completed={TEAM: 0, OPPONENT: 0})
     for line in lines:
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ReplayError("a log line is not a JSON object", _last_step(lines))
         kind = record.get("type")
         if kind == "task_completed":
             team = record["team"]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .torus import DIAMOND, VISION_RADIUS, Offset, neg
 from .world import Percept, Thing
@@ -94,23 +94,6 @@ def _layout(width: int) -> tuple[dict[Offset, int], int]:
     return cell_bits, diamond
 
 
-@dataclass(frozen=True)
-class Resolution:
-    status: str  # identified | ambiguous | no_match
-    responder: Optional[str] = None
-    offset: Optional[Offset] = None
-
-
-def resolve(candidates: list[tuple[str, Offset]]) -> Resolution:
-    """Combine all candidate responders for one observed entity."""
-    if not candidates:
-        return Resolution("no_match")
-    if len(candidates) == 1:
-        responder, offset = candidates[0]
-        return Resolution("identified", responder, offset)
-    return Resolution("ambiguous")
-
-
 @dataclass
 class RoundStats:
     broadcasts: int = 0
@@ -153,15 +136,14 @@ def identification_round(
             # candidate standing at the true offset.
             shift = bits.cell_bits[off]  # moves a reply by `off`
             candidates = [
-                (responder, off)
+                responder
                 for responder in seen_at.get(neg(off), ())
                 if responder != name and bits.matches_at(veto, replies[responder], shift)
             ]
-            res = resolve(candidates)
-            if res.status == "identified":
-                events.append(Identification(name, res.responder, off, step))
+            if len(candidates) == 1:
+                events.append(Identification(name, candidates[0], off, step))
                 stats.identifications += 1
-            elif res.status == "ambiguous":
+            elif candidates:
                 stats.ambiguous += 1
     return events, stats
 

@@ -37,9 +37,6 @@ class LocalMap:
     def advance(self, off: Offset) -> None:
         self.self_pos = self._norm(add(self.self_pos, off))
 
-    def entity_count(self) -> int:
-        return len(self.dispensers) + len(self.goals) + len(self.taskboards)
-
 
 def record_statics(local: LocalMap, percept: Percept) -> LocalMap:
     """Fold the static entities of one percept into the map. Dynamic things
@@ -110,14 +107,8 @@ class MergedView:
     goals: set[Coord]
     taskboards: set[Coord]
 
-    def of_kind(self, kind: str, block_type: Optional[str] = None) -> set[Coord]:
-        if kind == "goal":
-            return set(self.goals)
-        if kind == "taskboard":
-            return set(self.taskboards)
-        if kind == "dispenser":
-            return {c for c, t in self.dispensers if block_type is None or t == block_type}
-        raise ValueError(f"unknown entity kind {kind!r}")
+    def dispensers_of(self, block_type: str) -> set[Coord]:
+        return {c for c, t in self.dispensers if t == block_type}
 
 
 class MapStore:

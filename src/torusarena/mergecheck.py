@@ -23,6 +23,9 @@ from .torus import sub
 
 Trace = tuple[str, ...]
 
+SPACING = 4  # cells between neighbouring agents of a chain model
+STATE_BOUND = 200_000  # explore gives up beyond this many states
+
 
 class ExplorationBound(RuntimeError):
     def __init__(self, bound: int, trace: Trace):
@@ -33,7 +36,6 @@ class ExplorationBound(RuntimeError):
 def chain_model(
     n_agents: int = 3,
     n_sightings: int = 2,
-    spacing: int = 4,
     initial_leaders: Optional[dict[str, str]] = None,
     drop_notify: frozenset[str] = frozenset(),
     both_claim_victory: bool = False,
@@ -49,7 +51,7 @@ def chain_model(
     if not 2 <= n_agents <= 4:
         raise ValueError("the model supports 2 to 4 agents")
     agents = tuple(f"a{i + 1}" for i in range(n_agents))
-    positions = {a: (i * spacing, 0) for i, a in enumerate(agents)}
+    positions = {a: (i * SPACING, 0) for i, a in enumerate(agents)}
     if pairs is None:
         if not 1 <= n_sightings <= n_agents - 1:
             raise ValueError(f"a chain of {n_agents} agents supports 1 to {n_agents - 1} sightings")
@@ -86,7 +88,7 @@ class StateGraph:
         return [i for i, s in enumerate(self.states) if s.done]
 
 
-def explore(system, state_bound: int = 200_000) -> StateGraph:
+def explore(system) -> StateGraph:
     """Full reachable state graph of a transition system under every event
     interleaving."""
     init = system.initial_state()
@@ -103,8 +105,8 @@ def explore(system, state_bound: int = 200_000) -> StateGraph:
             nid = index.get(nxt)
             if nid is None:
                 nid = len(states)
-                if nid >= state_bound:
-                    raise ExplorationBound(state_bound, traces[sid] + (event.label,))
+                if nid >= STATE_BOUND:
+                    raise ExplorationBound(STATE_BOUND, traces[sid] + (event.label,))
                 index[nxt] = nid
                 states.append(nxt)
                 traces.append(traces[sid] + (event.label,))

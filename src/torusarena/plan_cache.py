@@ -102,12 +102,14 @@ def classify_key(key: str) -> Optional[tuple[str, bool]]:
 
 class CacheStore:
     """One file per key under `root`; file name is the key text, content is
-    the plan, one action token per line."""
+    the plan, one action token per line. A read-only store never creates
+    its directory: a missing one raises FileNotFoundError."""
 
     def __init__(self, root, readonly: bool = False):
         self.root = Path(root)
         self.readonly = readonly
-        self.root.mkdir(parents=True, exist_ok=True)
+        if not readonly:
+            self.root.mkdir(parents=True, exist_ok=True)
         self.index = {p.name for p in self.root.iterdir() if p.is_file()}
 
     def lookup(self, key: str) -> Optional[Plan]:

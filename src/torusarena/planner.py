@@ -29,7 +29,7 @@ from .torus import (
     torus_distance,
     wrap,
 )
-from .world import Action, Percept
+from .world import CLEAR_COST, Action, Percept
 
 EMPTY, OBSTACLE, BLOCKED = "empty", "obstacle", "blocked"
 
@@ -58,15 +58,11 @@ class Problem:
         if self.attached is not None and self.attached not in CARDINALS:
             raise ProblemError("attachment must be one of the 4 cardinal offsets")
 
-    def label_at(self, off: Offset) -> str:
-        return self.labels[DIAMOND_INDEX[off]]
 
-
-def build_problem(
-    percept: Percept, goal: Offset, energy: int, clear_threshold: int
-) -> Problem:
+def build_problem(percept: Percept, goal: Offset) -> Problem:
     """Label the diamond from a percept. The agent's own cell and its own
-    attached block count as empty: they move together."""
+    attached block count as empty: they move together. Clearing is allowed
+    when the agent has the energy for one clear."""
     own = {off for off, _ in percept.self_attached}
     if len(own) > 1:
         raise ProblemError("planning supports at most one attached block")
@@ -86,7 +82,7 @@ def build_problem(
         labels=tuple(labels),
         goal=goal,
         attached=attached,
-        clear_allowed=energy >= clear_threshold,
+        clear_allowed=percept.self_energy >= CLEAR_COST,
     )
 
 
@@ -273,48 +269,6 @@ def action_from_token(token: str) -> Action:
     raise ValueError(f"unknown plan token {token!r}")
 
 
-def simulate_plan(problem: Problem, plan: Plan) -> tuple[Offset, Optional[Offset]]:
-    """Replay a plan against the static abstraction, asserting no collision;
-    returns the final (agent, block) offsets. Test and debugging aid."""
-    pos: Offset = (0, 0)
-    att = problem.attached
-    cleared: set[Offset] = set()
-    charge: Optional[tuple[Offset, int]] = None
-    for token in plan:
-        if token.startswith("clear_"):
-            parts = token.split("_")
-            target = add(pos, (int(parts[1]), int(parts[2])))
-            assert problem.clear_allowed, "clear in a no-clear plan"
-            assert problem.label_at(target) == OBSTACLE
-            if charge and charge[0] == target:
-                charge = (target, charge[1] + 1)
-            else:
-                charge = (target, 1)
-            if charge[1] == 3:
-                cleared.add(target)
-                charge = None
-            continue
-        charge = None
-        if token.startswith("move_"):
-            off = DIR_OFFSETS[token.split("_")[1]]
-            pos = add(pos, off)
-            assert _passable_sim(problem, pos, cleared), f"agent stepped into {pos}"
-            if att is not None:
-                assert _passable_sim(problem, add(pos, att), cleared)
-        elif token.startswith("rotate_"):
-            fn = rotate_cw if token == "rotate_cw" else rotate_ccw
-            att = fn(att)
-            assert _passable_sim(problem, add(pos, att), cleared)
-    return pos, (add(pos, att) if att is not None else None)
-
-
-def _passable_sim(problem: Problem, off: Offset, cleared: set[Offset]) -> bool:
-    if off not in DIAMOND_INDEX:
-        return False
-    label = problem.label_at(off)
-    return label == EMPTY or (label == OBSTACLE and off in cleared)
-
-
 def fallback_one_step(
     percept: Percept, self_pos: Coord, destination: Coord, dims: Dims
 ) -> Action:
@@ -344,7 +298,6 @@ class Navigator:
     planning yields nothing."""
 
     solve_fn: SolveFn
-    clear_threshold: int
     destination: Optional[Coord] = None
     plan: list[str] = field(default_factory=list)
     index: int = 0
@@ -412,7 +365,7 @@ class Navigator:
             self.stuck = self.failed_cycles >= STUCK_CYCLES
             return False
         try:
-            problem = build_problem(percept, good, percept.self_energy, self.clear_threshold)
+            problem = build_problem(percept, good)
         except ProblemError:
             return False
         plan = self.solve_fn(problem)

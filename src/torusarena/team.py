@@ -94,7 +94,6 @@ class BullyState:
     patrol_center: Optional[Coord] = None
     patrol_phase: int = 0
     steps_without_prey: int = 0
-    relocate_after: int = RELOCATE_AFTER
     cluster_index: int = 0
 
 
@@ -116,7 +115,6 @@ class TaskGroup:
     origin: Optional[str] = None
     deliverer: Optional[str] = None
     retrievers: list[str] = field(default_factory=list)
-    bully: Optional[str] = None
     goal_cluster: list[Coord] = field(default_factory=list)
     anchor: Optional[Coord] = None
     taskboard: Optional[Coord] = None
@@ -124,8 +122,6 @@ class TaskGroup:
     assignments: dict[int, str] = field(default_factory=dict)
     staged: set[int] = field(default_factory=set)
     next_deliverer: Optional[str] = None
-    origin_anchored: bool = False
-    deliverer_ready: bool = False
     swap_phase: str = "none"  # none | detached | entered | attached
 
     def requirement_list(self) -> list[tuple[Offset, str]]:
@@ -213,10 +209,9 @@ class TeamController:
 
     def _solve(self, problem: Problem) -> Plan:
         if self.cache is None:
-            self.solver_calls += 1
-            self._emit(self._step, "plan", outcome="solve")
-            return solve(problem)
-        plan, outcome = solve_cached(problem, self.cache, self._counted_solve)
+            plan, outcome = self._counted_solve(problem), "solve"
+        else:
+            plan, outcome = solve_cached(problem, self.cache, self._counted_solve)
         self._emit(self._step, "plan", outcome=outcome)
         return plan
 
@@ -227,7 +222,7 @@ class TeamController:
     def _navigate(self, rt: AgentRuntime, percept: Percept, pos: Coord, destination: Coord) -> Action:
         """Next action of the agent's navigator toward `destination`."""
         if rt.navigator is None:
-            rt.navigator = Navigator(solve_fn=self._solve, clear_threshold=CLEAR_COST)
+            rt.navigator = Navigator(solve_fn=self._solve)
         rt.navigator.set_destination(destination)
         return rt.navigator.next_action(percept, pos, self.dims())
 
@@ -299,13 +294,14 @@ class TeamController:
 
     def _cartography(self, pairs, idents, step: int) -> None:
         # Re-sighting first: an active pair identifying each other again
-        # after separation closes the measurement.
+        # after separation closes the measurement. Each pair reads its first
+        # sighting with pair[0] observing, else its first the other way.
+        first = {(e.observer, e.observed): e for e in reversed(idents)} if self.carto else {}
         for state in list({id(s): s for s in self.carto.values()}.values()):
             a, b = state.pair
-            hits = [e for e in idents if (e.observer, e.observed) in ((a, b), (b, a))]
-            if not hits:
+            e = first.get((a, b)) or first.get((b, a))
+            if e is None:
                 continue
-            e = next((x for x in hits if x.observer == a), hits[0])
             off = e.offset if e.observer == a else neg(e.offset)
             along = state.axis(off)
             gap = step - state.last_seen_step
@@ -439,8 +435,6 @@ class TeamController:
                     group.deliverer = m
                 elif role == RETRIEVER:
                     group.retrievers.append(m)
-                elif role == BULLY_HUNTER:
-                    group.bully = m
             self.groups.append(group)
         self._assign_clusters()
         self._emit(
@@ -493,11 +487,21 @@ class TeamController:
         for group in self.groups:
             if not group.goal_cluster:
                 self._assign_clusters()
-            self._update_anchor_state(group, percepts)
+            # Ready for a task: the origin on the anchor and the deliverer in
+            # accept range of the taskboard, judged before the swap can
+            # rotate roles this step.
+            ready = (
+                group.anchor is not None
+                and group.taskboard is not None
+                and group.deliverer is not None
+                and self.position_of(group.origin) == group.anchor
+                and torus_distance(self.position_of(group.deliverer), group.taskboard, self.dims())
+                <= ACCEPT_RADIUS
+            )
             self._note_connect_results(group, percepts, step)
             self._update_swap(group, percepts, step)
             self._reassign_stalled(group, step)
-            self._update_task(group, percepts, step)
+            self._update_task(group, percepts, step, ready)
 
     def _note_connect_results(self, group: TaskGroup, percepts, step: int) -> None:
         for slot, name in list(group.assignments.items()):
@@ -534,18 +538,7 @@ class TeamController:
             )
             self._emit(step, "slot_reassigned", group=group.gid, slot=slot, agent=idle[0])
 
-    def _update_anchor_state(self, group: TaskGroup, percepts) -> None:
-        if group.origin is None or group.anchor is None:
-            return
-        origin_pos = self.position_of(group.origin)
-        group.origin_anchored = origin_pos == group.anchor
-        if group.deliverer is not None and group.taskboard is not None:
-            dpos = self.position_of(group.deliverer)
-            group.deliverer_ready = (
-                torus_distance(dpos, group.taskboard, self.dims()) <= ACCEPT_RADIUS
-            )
-
-    def _update_task(self, group: TaskGroup, percepts, step: int) -> None:
+    def _update_task(self, group: TaskGroup, percepts, step: int, ready: bool) -> None:
         if group.active_task is not None:
             # Drop expired tasks and restage.
             visible = {t.name for t in percepts[self.names[0]].tasks}
@@ -553,7 +546,7 @@ class TeamController:
                 self._emit(step, "task_dropped", group=group.gid, task=group.active_task.name)
                 self._reset_assembly(group)
             return
-        if not (group.origin_anchored and group.deliverer_ready):
+        if not ready:
             return
         view = self.store.merged_view(self.names[0])
         retrievable = {t for _c, t in view.dispensers}
@@ -698,7 +691,7 @@ class TeamController:
             return Action.skip()
         if st.kind == "hunter":
             st.steps_without_prey += 1
-            if st.steps_without_prey >= st.relocate_after:
+            if st.steps_without_prey >= RELOCATE_AFTER:
                 self._relocate_hunter(rt, step)
         if st.patrol_center is None:
             st.patrol_center = self._pick_patrol_center(rt)
@@ -888,7 +881,7 @@ class TeamController:
         else:
             task.stall += 1
         if task.phase == "fetch":
-            dispensers = view.of_kind("dispenser", task.block_type)
+            dispensers = view.dispensers_of(task.block_type)
             if not dispensers:
                 return self._explorer_policy(rt, percept, step)
             target = nearest(dispensers, pos, d)
@@ -898,7 +891,7 @@ class TeamController:
             else:
                 return self._navigate(rt, percept, pos, approach)
         if task.phase == "request":
-            dispensers = view.of_kind("dispenser", task.block_type)
+            dispensers = view.dispensers_of(task.block_type)
             target = nearest(dispensers, pos, d)
             off = delta(pos, target, d)
             direction = OFFSET_DIRS.get(off)
@@ -914,7 +907,7 @@ class TeamController:
             if percept.self_attached:
                 task.phase = "deliver"
             else:
-                dispensers = view.of_kind("dispenser", task.block_type)
+                dispensers = view.dispensers_of(task.block_type)
                 target = nearest(dispensers, pos, d)
                 direction = OFFSET_DIRS.get(delta(pos, target, d))
                 if direction is None:
@@ -977,10 +970,7 @@ class TeamController:
             for direction in DIRECTIONS
         ):
             return Action.skip()
-        away = fallback_one_step(
-            percept, pos, wrap(*add(group.anchor, (6, 6)), d), d
-        )
-        return away
+        return fallback_one_step(percept, pos, wrap(*add(group.anchor, (6, 6)), d), d)
 
     def _adjacent_free(self, percept: Percept, pos: Coord, target: Coord) -> Coord:
         d = self.dims()

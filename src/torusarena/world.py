@@ -64,9 +64,6 @@ class Task:
     deadline: int
     requirements: frozenset[tuple[Offset, str]]
 
-    def block_count(self) -> int:
-        return len(self.requirements)
-
 
 @dataclass(frozen=True)
 class Percept:
@@ -760,7 +757,7 @@ class World:
                 "task": task.name,
                 "team": agent.team,
                 "reward": task.reward,
-                "blocks": task.block_count(),
+                "blocks": len(task.requirements),
             }
         )
         return "success"

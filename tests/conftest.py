@@ -1,6 +1,28 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders for the test suite, and the benchmark's plan
+checker as the suite's plan-legality oracle."""
+
+import importlib.util
+from pathlib import Path
 
 from torusarena.world import FixedLayout, World, WorldConfig
+
+
+def _load_checkers():
+    path = Path(__file__).resolve().parent.parent / "bench" / "checkers.py"
+    spec = importlib.util.spec_from_file_location("bench_checkers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checkers = _load_checkers()
+
+
+def check_plan(problem, plan):
+    """Replay `plan` on a planner Problem under the diamond action rules,
+    written independently of the planner; returns the plan's length and
+    raises checkers.CheckFailed on an illegal step or a missed goal."""
+    return checkers.check_plan(checkers.PlanProblem.from_problem(problem), plan)
 
 
 def scripted_world(

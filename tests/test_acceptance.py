@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from conftest import percept_of, scripted_world
+from conftest import check_plan, percept_of, scripted_world
 from test_planner import make_problem, oracle_cost
 from torusarena.harness import (
     GreedyCourier,
@@ -27,7 +27,7 @@ from torusarena.mergecheck import (
     explore,
 )
 from torusarena.plan_cache import decode_key, encode
-from torusarena.planner import simulate_plan, solve
+from torusarena.planner import solve
 from torusarena import team as team_module
 from torusarena.team import (
     BULLY_HUNTER,
@@ -280,9 +280,7 @@ def test_criterion_5_planner_optimality():
             if expected is None:
                 assert plan == ()
             else:
-                assert len(plan) == expected
-                end, _ = simulate_plan(p, plan)
-                assert end == goal
+                assert check_plan(p, plan) == expected
             checked += 1
     # The worked wall-detour case: 7 moves without clear, 6 with.
     wall = ((-1, -1), (0, -1), (1, -1))

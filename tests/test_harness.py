@@ -37,6 +37,19 @@ def small_config(**overrides):
     return cfg
 
 
+def with_line(log, index, text):
+    """The log with line `index` replaced by `text`; unless that line is the
+    footer, the footer is resealed so the checksum still holds."""
+    lines = list(log)
+    lines[index] = text
+    if index % len(lines) != len(lines) - 1:
+        lines[-1] = json.dumps({"type": "footer", "sha256": log_digest(lines[:-1])})
+    return lines
+
+
+NOT_AN_OBJECT = {"header": 0, "body": 5, "footer": -1}
+
+
 class TestConfigValidation:
     def test_bad_opponent_named_in_error(self):
         cfg = small_config(opponent="chess-engine")
@@ -94,6 +107,18 @@ class TestReplay:
             replay(log[: len(log) // 2])
         assert e.value.last_valid_step >= 0
 
+    def test_truncated_footer_reports_the_last_step(self):
+        _, log = run_match(small_config())
+        with pytest.raises(ReplayError, match="unreadable footer") as e:
+            replay(log[:-1] + [log[-1][:20]])
+        assert e.value.last_valid_step == 60  # the final record's step
+
+    @pytest.mark.parametrize("where", sorted(NOT_AN_OBJECT))
+    def test_line_that_is_not_an_object_is_a_replay_error(self, where):
+        _, log = run_match(small_config())
+        with pytest.raises(ReplayError):
+            replay(with_line(log, NOT_AN_OBJECT[where], "[1]"))
+
     def test_fresh_log_replay(self):
         report, log = run_match(small_config())
         assert report.scores["beta"] == 0  # idle side never scores
@@ -130,6 +155,25 @@ class TestReplay:
         assert json.loads(log[-1])["sha256"] == (
             "ea741e7851b4becc6cb4b142acf451e13475eb89808d71ea01f4ce8d09133e08"
         )
+
+    def test_dense_match_digest(self, tmp_path):
+        # Dense obstacles, clear events and a plan cache: this match selects
+        # and completes a task, rotates roles and fills the cache.
+        cfg = MatchConfig(
+            dims=(40, 40),
+            team_size=15,
+            steps=200,
+            seed=5,
+            opponent="idle",
+            obstacle_density=0.2,
+            clear_event_rate=0.1,
+            cache_dir=str(tmp_path),
+        )
+        report, log = run_match(cfg)
+        assert json.loads(log[-1])["sha256"] == (
+            "26cf9f7f96dfec39f6ae665b2cc214f27050cb4f3366cfb49fd794b0d65583a2"
+        )
+        assert report.tasks_completed["alpha"] >= 1 and report.cache_misses > 0
 
 
 class TestOpponents:
@@ -227,6 +271,15 @@ class TestCli:
         rc = cli_main(["replay", "--log", str(log_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("where", sorted(NOT_AN_OBJECT))
+    def test_replay_line_that_is_not_an_object_exits_3(self, tmp_path, capsys, where):
+        _, log = run_match(small_config(steps=10))
+        log_path = tmp_path / "bad.log"
+        log_path.write_text("\n".join(with_line(log, NOT_AN_OBJECT[where], "[1]")) + "\n")
+        rc = cli_main(["replay", "--log", str(log_path)])
+        assert rc == 3
+        assert "replay error" in capsys.readouterr().err
+
     def test_check_protocol_passes(self, capsys):
         rc = cli_main(["check-protocol", "--agents", "3", "--sightings", "2"])
         out = capsys.readouterr().out
@@ -266,6 +319,21 @@ class TestCli:
         rc = cli_main(["cache-stats", "--cache-dir", str(tmp_path)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["keys"] == 0
+
+    def test_cache_stats_missing_dir_exits_1_and_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        rc = cli_main(["cache-stats", "--cache-dir", str(missing)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_run_readonly_missing_cache_exits_1_and_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        args = ["run", "--steps", "5", "--dims", "20x20", "--team-size", "2"]
+        rc = cli_main(args + ["--cache-dir", str(missing), "--cache-readonly"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_team_size_zero_exits_1(self, capsys):
         rc = cli_main(["run", "--team-size", "0", "--steps", "1"])

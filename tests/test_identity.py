@@ -5,12 +5,10 @@ import pytest
 from conftest import percept_of, scripted_world
 from torusarena.identity import (
     Identification,
-    Resolution,
     RoundStats,
     ThingBits,
     identification_round,
     mutual_pairs,
-    resolve,
     unknown_team_entities,
 )
 from torusarena.harness import PRESETS, GreedyCourier, MatchConfig
@@ -86,17 +84,6 @@ class TestMatchCandidate:
         assert matches_at(p5.things, reply, (4, 0), "alpha") is False
 
 
-class TestResolve:
-    def test_single_candidate_identifies(self):
-        assert resolve([("alpha02", (4, 0))]) == Resolution("identified", "alpha02", (4, 0))
-
-    def test_no_candidates(self):
-        assert resolve([]) == Resolution("no_match")
-
-    def test_two_candidates_ambiguous(self):
-        assert resolve([("alpha02", (4, 0)), ("alpha03", (4, 0))]).status == "ambiguous"
-
-
 class TestRound:
     def run_round(self, world, team):
         names = [n for n, a in world.agents.items() if a.team == team]
@@ -112,6 +99,14 @@ class TestRound:
         }
         assert stats.broadcasts == 2
         assert len(mutual_pairs(events)) == 1
+
+    def test_sighting_without_a_reply_identifies_no_one(self):
+        # alpha02 is in view but sends no reply: no candidate, so neither an
+        # identification nor an ambiguous sighting.
+        w = fig1_world()
+        events, stats = identification_round("alpha", {"alpha01": percept_of(w, "alpha01")}, 0)
+        assert events == []
+        assert (stats.broadcasts, stats.identifications, stats.ambiguous) == (1, 0, 0)
 
     def test_no_unknowns_no_messages(self):
         w = scripted_world(30, 30, {"alpha": [(5, 5), (20, 20)]})
@@ -213,13 +208,14 @@ def reference_round(team, percepts, step):
             reply = replies[responder]
             for off in sightings:
                 if reference_matches_at(mine, reply, off, team):
-                    per_offset[off].append((responder, off))
+                    per_offset[off].append(responder)
         for off in sightings:
-            res = resolve(per_offset[off])
-            if res.status == "identified":
-                events.append(Identification(name, res.responder, off, step))
+            # One candidate identifies; several are ambiguous; none is no match.
+            candidates = per_offset[off]
+            if len(candidates) == 1:
+                events.append(Identification(name, candidates[0], off, step))
                 stats.identifications += 1
-            elif res.status == "ambiguous":
+            elif candidates:
                 stats.ambiguous += 1
     return events, stats
 

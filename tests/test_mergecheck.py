@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import pytest
 
 from torusarena.mergecheck import (
+    ExplorationBound,
     builtin_scenarios,
     chain_model,
     check_confluence,
@@ -138,6 +139,13 @@ def test_sightings_beyond_the_chain_are_rejected():
         chain_model(4, 5)
     with pytest.raises(ValueError):
         chain_model(3, 0)
+
+
+def test_exploration_beyond_the_state_bound_raises(monkeypatch):
+    monkeypatch.setattr("torusarena.mergecheck.STATE_BOUND", 100)
+    with pytest.raises(ExplorationBound) as e:
+        explore(chain_model(3, 2))  # 109 states
+    assert e.value.trace
 
 
 def test_scenarios_have_six_entries():

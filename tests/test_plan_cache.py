@@ -187,6 +187,11 @@ class TestStore:
         assert out == "miss"
         assert list(tmp_path.iterdir()) == []
 
+    def test_readonly_store_needs_an_existing_directory(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            CacheStore(tmp_path / "missing", readonly=True)
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_plan_round_trips(self, tmp_path):
         store = CacheStore(tmp_path)
         box = [(1, 0), (-1, 0), (0, 1), (0, -1)]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import percept_of, scripted_world
+from conftest import check_plan, percept_of, scripted_world
 from torusarena.plan_cache import decode_key
 from torusarena.planner import (
     BLOCKED,
@@ -18,11 +18,10 @@ from torusarena.planner import (
     fallback_one_step,
     relaxed_reachable,
     select_good_cell,
-    simulate_plan,
     solve,
 )
 from torusarena.torus import DIAMOND, DIAMOND_INDEX, DIR_OFFSETS, Dims, add, rotate_ccw, rotate_cw
-from torusarena.world import Action
+from torusarena.world import CLEAR_COST, Action
 
 
 def make_problem(obstacles=(), blocked=(), goal=(0, -3), attached=None, clear=False):
@@ -45,7 +44,7 @@ def oracle_cost(problem):
     def passable(off, cleared):
         if off not in DIAMOND_INDEX:
             return False
-        lab = problem.label_at(off)
+        lab = problem.labels[DIAMOND_INDEX[off]]
         return lab == EMPTY or (lab == OBSTACLE and off in cleared)
 
     start = ((0, 0), problem.attached, None, frozenset())
@@ -87,7 +86,7 @@ def oracle_cost(problem):
                     cell = add(pos, DIR_OFFSETS[d])
                     if (
                         cell in DIAMOND_INDEX
-                        and problem.label_at(cell) == OBSTACLE
+                        and problem.labels[DIAMOND_INDEX[cell]] == OBSTACLE
                         and cell not in cleared
                     ):
                         succ.append((pos, att, (cell, 1), cleared))
@@ -112,7 +111,7 @@ class TestSolve:
         plan = solve(make_problem(obstacles=WALL, goal=(0, -3), clear=False))
         assert len(plan) == 7
         assert oracle_cost(make_problem(obstacles=WALL, goal=(0, -3))) == 7
-        simulate_plan(make_problem(obstacles=WALL, goal=(0, -3)), plan)
+        check_plan(make_problem(obstacles=WALL, goal=(0, -3)), plan)
 
     def test_wall_with_clear_costs_six(self):
         p = make_problem(obstacles=WALL, goal=(0, -3), clear=True)
@@ -120,7 +119,7 @@ class TestSolve:
         assert len(plan) == 6
         assert plan[:3] == ("clear_0_-1",) * 3
         assert oracle_cost(p) == 6
-        simulate_plan(p, plan)
+        check_plan(p, plan)
 
     def test_unreachable_returns_empty(self):
         box = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -131,9 +130,10 @@ class TestSolve:
     def test_attached_block_travels(self):
         p = make_problem(goal=(0, -3), attached=(0, 1))
         plan = solve(p)
-        assert len(plan) == 3
-        pos, block = simulate_plan(p, plan)
-        assert pos == (0, -3) and block == (0, -2)
+        # Three moves and no rotation: the block keeps its offset south of
+        # the agent and ends on (0, -2).
+        assert check_plan(p, plan) == 3
+        assert all(token.startswith("move_") for token in plan)
 
     def test_attached_block_forces_rotation(self):
         # Narrow slot: with the block south, entering the one-cell gap from
@@ -143,7 +143,7 @@ class TestSolve:
         plan = solve(p)
         assert plan, "goal should be reachable"
         assert oracle_cost(p) == len(plan)
-        simulate_plan(p, plan)
+        check_plan(p, plan)
 
     def test_matches_oracle_on_random_problems(self):
         rng = random.Random(1234)
@@ -179,9 +179,7 @@ class TestSolve:
             if expected is None:
                 assert plan == (), f"trial {trial}: oracle says unreachable"
             else:
-                assert len(plan) == expected, f"trial {trial}: {len(plan)} != {expected}"
-                end, _ = simulate_plan(p, plan)
-                assert end == goal
+                assert check_plan(p, plan) == expected, f"trial {trial}: {len(plan)} != {expected}"
 
 
 UNREACHABLE_KEYS = (
@@ -222,22 +220,24 @@ class TestBuildProblem:
         return percept_of(w, "alpha01")
 
     def test_enemy_is_blocked(self):
-        p = build_problem(self.world_percept(), (0, -5), energy=100, clear_threshold=30)
-        assert p.label_at((1, 0)) == BLOCKED
+        p = build_problem(self.world_percept(), (0, -5))
+        assert p.labels[DIAMOND_INDEX[1, 0]] == BLOCKED
 
     def test_dispenser_is_empty(self):
         percept = self.world_percept(dispensers=[((17, 17), "b1")])
-        p = build_problem(percept, (0, -5), energy=100, clear_threshold=30)
-        assert p.label_at((2, 2)) == EMPTY
+        p = build_problem(percept, (0, -5))
+        assert p.labels[DIAMOND_INDEX[2, 2]] == EMPTY
 
     def test_clear_flag_follows_energy(self):
         percept = self.world_percept()
-        assert build_problem(percept, (0, -5), 100, 30).clear_allowed
-        assert not build_problem(percept, (0, -5), 29, 30).clear_allowed
+        assert percept.self_energy >= CLEAR_COST
+        assert build_problem(percept, (0, -5)).clear_allowed
+        low = dataclasses.replace(percept, self_energy=CLEAR_COST - 1)
+        assert not build_problem(low, (0, -5)).clear_allowed
 
     def test_blocked_goal_rejected(self):
         with pytest.raises(ProblemError):
-            build_problem(self.world_percept(), (1, 0), 100, 30)
+            build_problem(self.world_percept(), (1, 0))
 
     def test_own_attached_block_is_empty_but_foreign_block_is_not(self):
         w = scripted_world(
@@ -249,10 +249,10 @@ class TestBuildProblem:
         w.step({"alpha01": Action.request("s")}, ())
         w.step({"alpha01": Action.attach("s")}, ())
         w.step({"alpha01": Action.request("e")}, ())
-        p = build_problem(percept_of(w, "alpha01"), (0, -5), 100, 30)
+        p = build_problem(percept_of(w, "alpha01"), (0, -5))
         assert p.attached == (0, 1)
-        assert p.label_at((0, 1)) == EMPTY  # travels with me
-        assert p.label_at((1, 0)) == BLOCKED  # loose block on the dispenser
+        assert p.labels[DIAMOND_INDEX[0, 1]] == EMPTY  # travels with me
+        assert p.labels[DIAMOND_INDEX[1, 0]] == BLOCKED  # loose block on the dispenser
 
 
 class TestGoodCell:
@@ -318,7 +318,7 @@ class TestFallback:
 
 class TestNavigator:
     def drive_to(self, world, name, dest, max_steps=60):
-        nav = Navigator(solve_fn=solve, clear_threshold=30)
+        nav = Navigator(solve_fn=solve)
         nav.set_destination(dest)
         pos = world.agents[name].pos
         steps = 0
@@ -341,7 +341,7 @@ class TestNavigator:
         # plan loses exactly one step and still lands on the destination
         # after one extra cycle.
         w = scripted_world(20, 20, {"alpha": [(5, 5), (8, 7)]})
-        nav = Navigator(solve_fn=solve, clear_threshold=30)
+        nav = Navigator(solve_fn=solve)
         nav.set_destination((11, 5))
         blocker_moves = ["n", "n", "s", "s"]
         name = "alpha01"
@@ -372,10 +372,11 @@ class TestNavigator:
         w = scripted_world(
             20, 20, {"alpha": [(5, 5)]}, obstacles=[(5, 4), (5, 6), (4, 5), (6, 5)]
         )
-        nav = Navigator(solve_fn=solve, clear_threshold=1000)  # clears disallowed
+        nav = Navigator(solve_fn=solve)
         nav.set_destination((15, 5))
         for _ in range(12):
-            percept = percept_of(w, "alpha01")
+            # Too little energy to clear: the ring of obstacles is final.
+            percept = dataclasses.replace(percept_of(w, "alpha01"), self_energy=CLEAR_COST - 1)
             nav.note_result(percept.last_action_result)
             act = nav.next_action(percept, w.agents["alpha01"].pos, w.dims)
             w.step({"alpha01": act}, ())

@@ -1,8 +1,13 @@
+import dataclasses
+
+import pytest
+
 from conftest import percept_of, scripted_world
 from torusarena.team import (
     BULLY_BOUNCER,
     BULLY_HUNTER,
     BullyState,
+    CARTOGRAPHER,
     DELIVERER,
     EXPLORER,
     ORIGIN,
@@ -79,7 +84,7 @@ class TestBuildingPhase:
         assert team.building
         assert len(team.groups) == 1
         g = team.groups[0]
-        assert g.origin and g.deliverer and g.bully
+        assert g.origin and g.deliverer
         assert len(g.retrievers) == 12
         roles = [team.runtimes[n].role for n in team.names]
         assert roles.count(ORIGIN) == 1
@@ -145,6 +150,32 @@ class TestCartographyLifecycle:
         assert len(explorers) == 2  # the third pair stays exploring
 
 
+    def test_degenerate_resighting_aborts_and_frees_the_dimension(self):
+        # The pair stands side by side across the horizontal axis (along-axis
+        # distance 0). It loses sight of each other for one step, then
+        # sights each other again with neither having moved: zero steps and
+        # zero residual measure nothing, so the pair is aborted.
+        w = scripted_world(30, 30, {"alpha": [(10, 10), (10, 12)]})
+        team = TeamController("alpha", ["alpha01", "alpha02"], seed=0)
+        percepts = {n: percept_of(w, n) for n in team.names}
+        out_of_sight = {
+            n: dataclasses.replace(p, things=tuple(t for t in p.things if t.kind != "entity"))
+            for n, p in percepts.items()
+        }
+        team.act(percepts, 0)
+        team.act(out_of_sight, 1)
+        assert {team.runtimes[n].role for n in team.names} == {CARTOGRAPHER}
+        team.drain_events()
+        team.act(percepts, 2)
+        kinds = [e["type"] for e in team.drain_events() if e["type"].startswith("cartography")]
+        # Aborted, and the horizontal dimension is open again for adoption in
+        # the same step (the same pair is the only one in sight).
+        assert kinds == ["cartography_aborted", "cartography_started"]
+        assert team.width is None
+        assert {s.dimension for s in team.carto.values()} == {"horizontal"}
+        assert {team.runtimes[n].role for n in team.names} == {CARTOGRAPHER}
+
+
 class TestBullies:
     def hunter(self, world, name="alpha01", center=(10, 10)):
         team = TeamController("alpha", [name], seed=3)
@@ -156,7 +187,7 @@ class TestBullies:
         rt.bully = BullyState(kind="hunter", patrol_center=sub(center, world.spawns[name]))
         return team
 
-    def test_hunter_relocates_and_visits_every_cluster(self):
+    def test_hunter_relocates_and_visits_every_cluster(self, monkeypatch):
         w = scripted_world(
             30,
             30,
@@ -169,18 +200,20 @@ class TestBullies:
             sub(c, w.spawns["alpha01"]) for c in [(10, 10), (10, 11), (20, 20), (20, 21)]
         }
         rt = team.runtimes["alpha01"]
-        rt.bully.relocate_after = 12
+        monkeypatch.setattr("torusarena.team.RELOCATE_AFTER", 12)
         percepts = w.percepts(["alpha01"])
         centers = set()
+        relocated = []
         # Liveness: every known cluster is visited within clusters x threshold.
         for step in range(2 * 12 + 20):
             acts = team.act({"alpha01": percepts["alpha01"]}, step)
             percepts, _ = w.step(acts, ["alpha01"])
-            team.drain_events()
+            relocated += [e["step"] for e in team.drain_events() if e["type"] == "bully_relocated"]
             centers.add(rt.bully.patrol_center)
         assert len(centers) >= 2, "hunter never toured the second cluster"
+        assert relocated[0] == 11, "the hunter moves on after 12 steps without prey"
 
-    def test_bouncer_never_relocates(self):
+    def test_bouncer_never_relocates(self, monkeypatch):
         w = scripted_world(
             30, 30, {"alpha": [(11, 11)]}, goals=[(10, 10), (20, 20)]
         )
@@ -188,7 +221,7 @@ class TestBullies:
         rt = team.runtimes["alpha01"]
         rt.role = BULLY_BOUNCER
         rt.bully.kind = "bouncer"
-        rt.bully.relocate_after = 5
+        monkeypatch.setattr("torusarena.team.RELOCATE_AFTER", 5)
         percepts = w.percepts(["alpha01"])
         for step in range(20):
             acts = team.act({"alpha01": percepts["alpha01"]}, step)
@@ -222,6 +255,35 @@ class TestBullies:
         percepts = w.percepts(["alpha01"])
         acts = team.act({"alpha01": percepts["alpha01"]}, 0)
         assert acts["alpha01"].kind == "clear"
+
+
+class TestGoallessHunter:
+    """A leftover hunter in a world with no goals has no patrol centre and
+    falls back to plain movement along its exploration direction."""
+
+    def act(self, obstacles):
+        w = scripted_world(30, 30, {"alpha": [(10, 10)]}, obstacles=obstacles)
+        team = TeamController("alpha", ["alpha01"], seed=0)
+        team.width, team.height = w.dims
+        team.store.set_dims(w.dims)
+        team.runtimes["alpha01"].explore_dir = "n"
+        action = team.act({"alpha01": percept_of(w, "alpha01")}, 0)["alpha01"]
+        rt = team.runtimes["alpha01"]
+        assert team.building and rt.role == BULLY_HUNTER and rt.bully.patrol_center is None
+        return action
+
+    def test_moves_along_the_exploration_direction(self):
+        assert self.act([]) == Action.move("n")
+
+    def test_sidesteps_perpendicular_when_blocked(self):
+        assert self.act([(10, 9)]) == Action.move("e")
+        assert self.act([(10, 9), (11, 10)]) == Action.move("w")
+
+    @pytest.mark.parametrize("south_free", [True, False])
+    def test_skips_when_boxed_in(self, south_free):
+        # Unlike an explorer, it never turns back south.
+        box = [(10, 9), (11, 10), (9, 10)] + ([] if south_free else [(10, 11)])
+        assert self.act(box) == Action.skip()
 
 
 class TestRequirementOrdering:
