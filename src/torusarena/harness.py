@@ -248,7 +248,7 @@ def play(config: MatchConfig) -> Match:
     both go through here."""
     config.validate()
     world = World(config.world_config(), config.seed)
-    names = config.world_config().agent_names()
+    names = world.config.agent_names()
     cache = (
         CacheStore(config.cache_dir, readonly=config.cache_readonly)
         if config.cache_dir

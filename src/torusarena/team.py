@@ -90,7 +90,6 @@ def role_for_slot(slot: int) -> str:
 
 @dataclass
 class BullyState:
-    kind: str  # bouncer | hunter
     patrol_center: Optional[Coord] = None
     patrol_phase: int = 0
     steps_without_prey: int = 0
@@ -119,7 +118,6 @@ class TaskGroup:
     anchor: Optional[Coord] = None
     taskboard: Optional[Coord] = None
     active_task: Optional[Task] = None
-    assignments: dict[int, str] = field(default_factory=dict)
     staged: set[int] = field(default_factory=set)
     next_deliverer: Optional[str] = None
     swap_phase: str = "none"  # none | detached | entered | attached
@@ -188,7 +186,7 @@ class TeamController:
         self.group_capacity = group_capacity
         self.width: Optional[int] = None
         self.height: Optional[int] = None
-        self.carto: dict[str, CartographyState] = {}
+        self.carto: dict[str, CartographyState] = {}  # active pair per dimension
         self.groups: list[TaskGroup] = []
         self.building = False
         self.bouncer_count = 0
@@ -201,11 +199,6 @@ class TeamController:
         }
 
     # ------------------------------------------------------------- plumbing
-
-    def dims(self) -> Optional[Dims]:
-        if self.width is not None and self.height is not None:
-            return Dims(self.width, self.height)
-        return None
 
     def _solve(self, problem: Problem) -> Plan:
         if self.cache is None:
@@ -224,7 +217,7 @@ class TeamController:
         if rt.navigator is None:
             rt.navigator = Navigator(solve_fn=self._solve)
         rt.navigator.set_destination(destination)
-        return rt.navigator.next_action(percept, pos, self.dims())
+        return rt.navigator.next_action(percept, pos, self.store.dims)
 
     def _emit(self, step: int, kind: str, **payload) -> None:
         self.events.append({"step": step, "type": kind, "team": self.team, **payload})
@@ -281,7 +274,7 @@ class TeamController:
             ):
                 off = DIR_OFFSETS[rt.last_action.direction]
                 self.store.maps[name].advance(off)
-                state = self.carto.get(name)
+                state = self._carto_of(name)
                 if state is not None:
                     if name == state.pair[0]:
                         state.steps_a += 1
@@ -297,7 +290,7 @@ class TeamController:
         # after separation closes the measurement. Each pair reads its first
         # sighting with pair[0] observing, else its first the other way.
         first = {(e.observer, e.observed): e for e in reversed(idents)} if self.carto else {}
-        for state in list({id(s): s for s in self.carto.values()}.values()):
+        for state in list(self.carto.values()):
             a, b = state.pair
             e = first.get((a, b)) or first.get((b, a))
             if e is None:
@@ -321,7 +314,7 @@ class TeamController:
                 self.height = size
             for n in state.pair:
                 self.runtimes[n].role = EXPLORER
-                del self.carto[n]
+            del self.carto[state.dimension]
             self._emit(
                 step,
                 "cartography_finished",
@@ -332,9 +325,8 @@ class TeamController:
                 initial_distance=state.initial_distance,
                 residual=-along,
             )
-            d = self.dims()
-            if d:
-                self.store.set_dims(d)
+            if self.width is not None and self.height is not None:
+                self.store.set_dims(Dims(self.width, self.height))
         # Adoption: a fresh mutual identification between two explorers.
         for fwd, _back in pairs:
             a, b = fwd.observer, fwd.observed
@@ -346,8 +338,7 @@ class TeamController:
             state = adopt_cartographers(a, b, fwd.offset, dimension, step)
             if state is None:
                 continue
-            self.carto[a] = state
-            self.carto[b] = state
+            self.carto[dimension] = state
             self.runtimes[a].role = CARTOGRAPHER
             self.runtimes[b].role = CARTOGRAPHER
             self._emit(
@@ -358,18 +349,20 @@ class TeamController:
                 initial_distance=state.initial_distance,
             )
 
+    def _carto_of(self, name: str) -> Optional[CartographyState]:
+        return next((s for s in self.carto.values() if name in s.pair), None)
+
     def _open_dimension(self) -> Optional[str]:
-        active = {s.dimension for s in self.carto.values()}
-        if self.width is None and "horizontal" not in active:
+        if self.width is None and "horizontal" not in self.carto:
             return "horizontal"
-        if self.height is None and "vertical" not in active:
+        if self.height is None and "vertical" not in self.carto:
             return "vertical"
         return None
 
     def _abort_pair(self, state: CartographyState, step: int) -> None:
         for n in state.pair:
             self.runtimes[n].role = EXPLORER
-            self.carto.pop(n, None)
+        del self.carto[state.dimension]
         self._emit(step, "cartography_aborted", dimension=state.dimension, pair=list(state.pair))
 
     # ---------------------------------------------------------------- merges
@@ -402,7 +395,7 @@ class TeamController:
     # -------------------------------------------------------- group formation
 
     def _maybe_start_building(self, step: int) -> None:
-        if self.building or self.dims() is None:
+        if self.building or self.store.dims is None:
             return
         leaders = {self.store.leader_of(n) for n in self.names}
         if len(leaders) != 1:
@@ -419,8 +412,8 @@ class TeamController:
             else:
                 rt.role = BULLY_HUNTER
                 rt.group = None
-            if rt.role in (BULLY_HUNTER, BULLY_BOUNCER):
-                rt.bully = BullyState(kind="hunter")
+            if rt.role == BULLY_HUNTER:
+                rt.bully = BullyState()
             census[rt.role] = census.get(rt.role, 0) + 1
         self.bouncer_count = 0
         self.groups = []
@@ -447,7 +440,7 @@ class TeamController:
 
     def goal_clusters(self) -> list[list[Coord]]:
         """Connected goal-cell components in the shared frame, largest first."""
-        d = self.dims()
+        d = self.store.dims
         goals = set(self.store.merged_view(self.names[0]).goals)
         clusters = []
         while goals:
@@ -479,7 +472,7 @@ class TeamController:
             group.goal_cluster = cluster
             group.anchor = bottom_most(cluster)
             if view.taskboards:
-                group.taskboard = nearest(view.taskboards, group.anchor, self.dims())
+                group.taskboard = nearest(view.taskboards, group.anchor, self.store.dims)
 
     # ------------------------------------------------------ group coordination
 
@@ -495,7 +488,7 @@ class TeamController:
                 and group.taskboard is not None
                 and group.deliverer is not None
                 and self.position_of(group.origin) == group.anchor
-                and torus_distance(self.position_of(group.deliverer), group.taskboard, self.dims())
+                and torus_distance(self.position_of(group.deliverer), group.taskboard, self.store.dims)
                 <= ACCEPT_RADIUS
             )
             self._note_connect_results(group, percepts, step)
@@ -503,24 +496,29 @@ class TeamController:
             self._reassign_stalled(group, step)
             self._update_task(group, percepts, step, ready)
 
+    def _slot_owners(self, group: TaskGroup) -> list[str]:
+        """The group's retrievers that hold a slot, in slot order: a slot's
+        owner is the retriever whose fetch names it."""
+        owners = [r for r in group.retrievers if self.runtimes[r].fetch is not None]
+        return sorted(owners, key=lambda r: self.runtimes[r].fetch.slot)
+
     def _note_connect_results(self, group: TaskGroup, percepts, step: int) -> None:
-        for slot, name in list(group.assignments.items()):
+        for name in self._slot_owners(group):
             rt = self.runtimes[name]
             if (
-                rt.fetch is not None
-                and rt.fetch.phase == "connect"
+                rt.fetch.phase == "connect"
                 and percepts[name].last_action_result == ("connect", "success")
             ):
-                group.staged.add(slot)
+                group.staged.add(rt.fetch.slot)
                 if group.next_deliverer is None:
                     group.next_deliverer = name
                     self._emit(step, "next_deliverer", group=group.gid, agent=name)
                 rt.fetch = None
 
     def _reassign_stalled(self, group: TaskGroup, step: int) -> None:
-        for slot, name in list(group.assignments.items()):
+        for name in self._slot_owners(group):
             rt = self.runtimes[name]
-            if rt.fetch is None or rt.fetch.stall < STALL_REASSIGN:
+            if rt.fetch.stall < STALL_REASSIGN:
                 continue
             idle = [
                 r
@@ -532,11 +530,10 @@ class TeamController:
                 continue
             spec = rt.fetch
             rt.fetch = None
-            group.assignments[slot] = idle[0]
             self.runtimes[idle[0]].fetch = RetrieverTask(
-                slot=slot, offset=spec.offset, block_type=spec.block_type
+                slot=spec.slot, offset=spec.offset, block_type=spec.block_type
             )
-            self._emit(step, "slot_reassigned", group=group.gid, slot=slot, agent=idle[0])
+            self._emit(step, "slot_reassigned", group=group.gid, slot=spec.slot, agent=idle[0])
 
     def _update_task(self, group: TaskGroup, percepts, step: int, ready: bool) -> None:
         if group.active_task is not None:
@@ -559,21 +556,15 @@ class TeamController:
             self._emit(step, "task_selected", group=group.gid, task=choice.name)
 
     def _assign_slots(self, group: TaskGroup) -> None:
-        group.assignments = {}
         group.staged = set()
         group.swap_phase = "none"
         reqs = group.requirement_list()
-        available = [r for r in group.retrievers]
-        for slot, (off, btype) in enumerate(reqs):
-            if not available:
-                break
-            name = available[slot % len(available)]
-            group.assignments[slot] = name
+        # select_task never picks more requirements than the group has retrievers.
+        for slot, (name, (off, btype)) in enumerate(zip(group.retrievers, reqs)):
             self.runtimes[name].fetch = RetrieverTask(slot=slot, offset=off, block_type=btype)
 
     def _reset_assembly(self, group: TaskGroup) -> None:
         group.active_task = None
-        group.assignments = {}
         group.staged = set()
         group.swap_phase = "none"
         for name in group.retrievers:
@@ -598,7 +589,7 @@ class TeamController:
             self._rotate_roles(group, step)
 
     def _deliverer_in_place(self, group: TaskGroup) -> bool:
-        d = self.dims()
+        d = self.store.dims
         waits = {wrap(*add(group.anchor, off), d) for off in WAIT_OFFSETS}
         return self.position_of(group.deliverer) in waits
 
@@ -632,7 +623,7 @@ class TeamController:
 
     def _policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
         if rt.role == CARTOGRAPHER:
-            return cartographer_action(self.carto[rt.name], rt.name, percept)
+            return cartographer_action(self._carto_of(rt.name), rt.name, percept)
         if rt.role in (BULLY_BOUNCER, BULLY_HUNTER):
             return self._bully_policy(rt, percept, step)
         if rt.role == ORIGIN:
@@ -651,8 +642,7 @@ class TeamController:
             if goal_offs:
                 rt.role = BULLY_BOUNCER
                 rt.bully = BullyState(
-                    kind="bouncer",
-                    patrol_center=add(self.store.maps[rt.name].self_pos, min(goal_offs)),
+                    patrol_center=add(self.store.maps[rt.name].self_pos, min(goal_offs))
                 )
                 self.bouncer_count += 1
                 self._emit(step, "role_change", agent=rt.name, role=BULLY_BOUNCER)
@@ -689,7 +679,7 @@ class TeamController:
             if percept.self_energy >= CLEAR_COST:
                 return Action.clear(prey)
             return Action.skip()
-        if st.kind == "hunter":
+        if rt.role == BULLY_HUNTER:
             st.steps_without_prey += 1
             if st.steps_without_prey >= RELOCATE_AFTER:
                 self._relocate_hunter(rt, step)
@@ -697,9 +687,9 @@ class TeamController:
             st.patrol_center = self._pick_patrol_center(rt)
             if st.patrol_center is None:
                 return self._explorer_movement_only(rt, percept)
-        pos = self.store.maps[rt.name].self_pos if st.kind == "bouncer" else self.position_of(rt.name)
+        pos = self.store.maps[rt.name].self_pos if rt.role == BULLY_BOUNCER else self.position_of(rt.name)
         target = add(st.patrol_center, PATROL_RING[st.patrol_phase])
-        d = self.dims()
+        d = self.store.dims
         if d:
             target = wrap(*target, d)
         if pos == target:
@@ -737,9 +727,8 @@ class TeamController:
             self._emit(step, "bully_relocated", agent=rt.name, center=list(st.patrol_center))
 
     def _pick_patrol_center(self, rt: AgentRuntime) -> Optional[Coord]:
-        if rt.bully.kind == "bouncer":
-            goals = self.store.maps[rt.name].goals
-            return nearest(goals, self.store.maps[rt.name].self_pos, self.dims())
+        """A hunter's centre: the bottom-most cell of its current goal cluster
+        (a bouncer gets its centre when it becomes one)."""
         clusters = self.goal_clusters()
         if not clusters:
             return None
@@ -748,7 +737,7 @@ class TeamController:
         return bottom_most(clusters[st.cluster_index])
 
     def _greedy_step(self, percept: Percept, pos: Coord, target: Coord) -> Action:
-        d = self.dims()
+        d = self.store.dims
         if d:
             return fallback_one_step(percept, pos, target, d)
         # Pre-normalization movement: plain vector chase in own frame.
@@ -802,7 +791,7 @@ class TeamController:
     def _free_anchor(self, group: TaskGroup, percept: Percept, pos: Coord) -> Coord:
         """Bottom-most unoccupied goal cell of the cluster, judged from the
         origin's current view."""
-        d = self.dims()
+        d = self.store.dims
         occupied = {wrap(*add(pos, off), d) for off in percept.occupied}
         for cell in sorted(group.goal_cluster, key=lambda c: (-c[1], c[0])):
             if cell not in occupied:
@@ -813,7 +802,7 @@ class TeamController:
         """Step off the anchor to the north, east or west, never onto the
         deliverer's cell."""
         deliverer_pos = self.position_of(group.deliverer)
-        d = self.dims()
+        d = self.store.dims
         for direction in ("n", "e", "w"):
             cell = wrap(*add(pos, DIR_OFFSETS[direction]), d)
             if cell != deliverer_pos and self._free_ahead(percept, direction):
@@ -827,7 +816,7 @@ class TeamController:
         if group.taskboard is None:
             return self._explorer_policy(rt, percept, step)
         pos = self.position_of(rt.name)
-        d = self.dims()
+        d = self.store.dims
         if group.active_task is None:
             if torus_distance(pos, group.taskboard, d) > ACCEPT_RADIUS:
                 return self._navigate(rt, percept, pos, group.taskboard)
@@ -853,7 +842,7 @@ class TeamController:
 
     def _swap_wait_cell(self, group: TaskGroup, percept: Percept, pos: Coord) -> Coord:
         """Cell adjacent to the origin that is not below it."""
-        d = self.dims()
+        d = self.store.dims
         for off in WAIT_OFFSETS:
             cell = wrap(*add(group.anchor, off), d)
             if cell == pos:
@@ -863,7 +852,7 @@ class TeamController:
         return wrap(*add(group.anchor, (0, -1)), d)
 
     def _cell_occupied(self, percept: Percept, pos: Coord, cell: Coord) -> bool:
-        return delta(pos, cell, self.dims()) in percept.occupied
+        return delta(pos, cell, self.store.dims) in percept.occupied
 
     # -- retriever
 
@@ -871,7 +860,7 @@ class TeamController:
         group = self.groups[rt.group]
         task = rt.fetch
         pos = self.position_of(rt.name)
-        d = self.dims()
+        d = self.store.dims
         if task is None:
             return self._step_aside(group, percept, pos)
         view = self.store.merged_view(rt.name)
@@ -963,7 +952,7 @@ class TeamController:
 
     def _step_aside(self, group: TaskGroup, percept: Percept, pos: Coord) -> Action:
         """Clear out of the assembly area once a block is handed over."""
-        d = self.dims()
+        d = self.store.dims
         structure = group.structure_cells(d)
         if all(
             wrap(*add(pos, DIR_OFFSETS[direction]), d) not in structure
@@ -973,7 +962,7 @@ class TeamController:
         return fallback_one_step(percept, pos, wrap(*add(group.anchor, (6, 6)), d), d)
 
     def _adjacent_free(self, percept: Percept, pos: Coord, target: Coord) -> Coord:
-        d = self.dims()
+        d = self.store.dims
         for off in CARDINALS:
             cell = wrap(*add(target, off), d)
             if cell == pos or not self._cell_occupied(percept, pos, cell):
@@ -984,7 +973,7 @@ class TeamController:
         """Agent cell from which the held block lands exactly on the slot:
         south of it when free of the structure, else east, west, north.
         `index` cycles through the remaining candidates on retries."""
-        d = self.dims()
+        d = self.store.dims
         structure = group.structure_cells(d)
         candidates = [
             wrap(*add(slot_cell, off), d)

@@ -612,18 +612,20 @@ class World:
         ok = self._move_structure(agent, shift)
         return "success" if ok else "failed:blocked"
 
-    def _ground_component(self, start: Coord) -> set[Coord]:
-        comp = {start}
-        frontier = [start]
+    def _linked(self, start: Iterable[Coord], within: Optional[set[Coord]] = None) -> set[Coord]:
+        """Cells reachable from `start` over block links, stepping only onto
+        cells of `within` when it is given."""
+        reach = set(start)
+        frontier = list(start)
         while frontier:
             c = frontier.pop()
             for link in self.links:
                 if c in link:
                     (other,) = link - {c}
-                    if other not in comp:
-                        comp.add(other)
+                    if other not in reach and (within is None or other in within):
+                        reach.add(other)
                         frontier.append(other)
-        return comp
+        return reach
 
     def _do_attach(self, agent: AgentState, act: Action) -> str:
         if act.direction not in DIR_OFFSETS:
@@ -637,7 +639,7 @@ class World:
         if holder is not None:
             other = self.agents[holder]
             return "failed:enemy_attached" if other.team != agent.team else "failed:held"
-        comp = self._ground_component(cell)
+        comp = self._linked((cell,))
         for c in comp:
             self.blocks[c].holder = agent.name
         agent.held |= comp
@@ -654,17 +656,7 @@ class World:
             for c in agent.held
             if delta(agent.pos, c, self.dims) in CARDINALS and c != severed
         }
-        reach = set(roots)
-        frontier = list(roots)
-        while frontier:
-            c = frontier.pop()
-            for link in self.links:
-                if c in link:
-                    (other,) = link - {c}
-                    if other in agent.held and other not in reach:
-                        reach.add(other)
-                        frontier.append(other)
-        return reach
+        return self._linked(roots, agent.held)
 
     def _do_detach(self, agent: AgentState, act: Action) -> str:
         if act.direction not in DIR_OFFSETS:
@@ -798,12 +790,10 @@ class World:
 
     def _remove_block(self, cell: Coord) -> None:
         block = self.blocks.pop(cell)
-        if block.holder is not None:
-            holder = self.agents[block.holder]
-            holder.held.discard(cell)
         self.links = {l for l in self.links if cell not in l}
         if block.holder is not None:
             holder = self.agents[block.holder]
+            holder.held.discard(cell)
             keep = self._reachable_held(holder)
             self._release(holder, holder.held - keep)
 

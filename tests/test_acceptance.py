@@ -479,7 +479,7 @@ def test_criterion_8_bully_interception():
     team.building = True
     rt = team.runtimes["alpha01"]
     rt.role = BULLY_HUNTER
-    rt.bully = BullyState(kind="hunter", patrol_center=sub((10, 10), world.spawns["alpha01"]))
+    rt.bully = BullyState(patrol_center=sub((10, 10), world.spawns["alpha01"]))
     courier = GreedyCourier(["beta01"], seed=3)
     percepts = world.percepts(["alpha01"])
     cleared_step = None

@@ -175,6 +175,23 @@ class TestReplay:
         )
         assert report.tasks_completed["alpha"] >= 1 and report.cache_misses > 0
 
+    @pytest.mark.parametrize(
+        "preset,seed,steps,digest",
+        [
+            ("r3", 0, 100, "4e78e42743bd3535e8eca76888da40d9571ed9a8a0e04a93d8d98441b57be8e8"),
+            ("r3", 1, 100, "102805ffe17e17ea6bff3b1eab2b3a27ecd3a3e213c235bc001cd63bd0ee4ee5"),
+            # A retriever ends up listed at two slots in both of these.
+            ("r1", 1, 400, "40535669cdf3ac9b27313b1f80ef38d0ba24ab700c1d76168193adda3c06b2a8"),
+            ("r1", 2, 400, "171a0b0b274a76fb9cdd434e6b60352694cc667a8bf898f70b31cce49b53f6fb"),
+        ],
+    )
+    def test_contract_match_digest(self, preset, seed, steps, digest):
+        # The benchmark's match-r3 seeds, and two longer matches whose
+        # groups reassign stalled slots.
+        cfg = MatchConfig(steps=steps, seed=seed, opponent="greedy-courier", **PRESETS[preset])
+        _, log = run_match(cfg)
+        assert json.loads(log[-1])["sha256"] == digest
+
 
 class TestOpponents:
     def test_greedy_courier_carries_block_to_goal(self):

@@ -1,15 +1,15 @@
 """Seeded invariant sweep: short matches on small grids against every
 opponent, with and without obstacles and clear events. After every world
-step the world's own invariants and the team's one-leader-per-group table
-must hold. The checks hook into World.step, so the matches run through the
-harness's one step loop."""
+step the world's own invariants, the team's one-leader-per-group table and
+its task-group and cartography tables must hold. The checks hook into
+World.step, so the matches run through the harness's one step loop."""
 
 import itertools
 
 import pytest
 
 from torusarena.harness import OPPONENTS, MatchConfig, run_match
-from torusarena.team import TeamController
+from torusarena.team import CARTOGRAPHER, DELIVERER, ORIGIN, RETRIEVER, TeamController
 from torusarena.world import World
 
 GRIDS = ((20, 20), (24, 20), (22, 26))
@@ -19,11 +19,33 @@ STEPS = 60
 CASES = list(itertools.product(sorted(OPPONENTS), DENSITIES, CLEAR_RATES))
 
 
+def check_group_tables(team: TeamController) -> int:
+    """Each cartography pair sits under its own dimension, and each task
+    group's roles, slots and staged set agree; returns the groups checked."""
+    rts = team.runtimes
+    for dimension, state in team.carto.items():
+        assert state.dimension == dimension
+        assert all(rts[n].role == CARTOGRAPHER for n in state.pair), state.pair
+    for group in team.groups:
+        where = f"group {group.gid}"
+        assert rts[group.origin].role == ORIGIN, where
+        assert rts[group.deliverer].role == DELIVERER, where
+        assert all(rts[r].role == RETRIEVER for r in group.retrievers), where
+        slots = [rts[r].fetch.slot for r in group.retrievers if rts[r].fetch is not None]
+        assert len(slots) == len(set(slots)), f"{where}: a slot held twice: {sorted(slots)}"
+        if group.active_task is None:
+            assert slots == [] and group.swap_phase == "none", where
+        else:
+            required = set(range(len(group.requirement_list())))
+            assert set(slots) <= required and group.staged <= required, where
+    return len(team.groups)
+
+
 @pytest.fixture
 def checked_steps(monkeypatch):
-    """Run both invariant checks after every World.step; returns the list of
-    checked step numbers."""
-    teams, checked = [], []
+    """Run every invariant check after every World.step; returns the checked
+    step numbers and the number of task-group checks."""
+    teams, checked = [], {"steps": [], "groups": 0}
     init, step = TeamController.__init__, World.step
 
     def recording_init(self, *args, **kwargs):
@@ -34,7 +56,8 @@ def checked_steps(monkeypatch):
         out = step(self, *args, **kwargs)
         self.check_invariants()
         teams[-1].store.check_one_leader()
-        checked.append(self.step_num)
+        checked["groups"] += check_group_tables(teams[-1])
+        checked["steps"].append(self.step_num)
         return out
 
     monkeypatch.setattr(TeamController, "__init__", recording_init)
@@ -57,4 +80,6 @@ def test_invariants_hold_every_step(checked_steps, opponent, density, clear_rate
     )
     report, _ = run_match(cfg)
     assert report.steps == STEPS
-    assert len(checked_steps) == STEPS
+    assert len(checked_steps["steps"]) == STEPS
+    # Every sweep match starts building, so its group table gets checked.
+    assert checked_steps["groups"] > 0

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from torusarena.team import (
     EXPLORER,
     ORIGIN,
     RETRIEVER,
+    STALL_REASSIGN,
     TaskGroup,
     TeamController,
     bottom_most,
@@ -106,8 +108,66 @@ class TestBuildingPhase:
         names = [f"alpha{i + 1:02d}" for i in range(15)]
         team = TeamController("alpha", names, seed=1)
         team.width, team.height = 40, 40
+        team.store.set_dims(Dims(40, 40))
         team._maybe_start_building(step=5)
         assert not team.building  # still many singleton frame groups
+
+
+class TestSlotReassignment:
+    """A stalled slot goes to the first idle retriever in list order, which
+    is often the one that has already staged slot 0. A slot's owner is the
+    retriever whose fetch names it, so that retriever now stages, and hands
+    on, the slot it was given."""
+
+    def assembling_group(self):
+        team = TestBuildingPhase().controller(15)
+        team._maybe_start_building(step=5)
+        group = team.groups[0]
+        reqs = frozenset({((0, 1), "b1"), ((0, 2), "b1"), ((0, 3), "b1")})
+        group.active_task = Task("t", 10, 999, reqs)
+        team._assign_slots(group)
+        return team, group
+
+    def owner(self, team, group, slot):
+        (name,) = [
+            r for r in group.retrievers
+            if team.runtimes[r].fetch is not None and team.runtimes[r].fetch.slot == slot
+        ]
+        return name
+
+    def connect(self, team, group, name, step):
+        team.runtimes[name].fetch.phase = "connect"
+        percepts = {
+            n: SimpleNamespace(last_action_result=("connect", "success") if n == name else None)
+            for n in team.names
+        }
+        team._note_connect_results(group, percepts, step)
+
+    def double_listed(self):
+        """Slot 0 staged, then slot 2 stalls and goes to slot 0's retriever."""
+        team, group = self.assembling_group()
+        first = self.owner(team, group, 0)
+        self.connect(team, group, first, step=10)
+        assert group.staged == {0}
+        team.runtimes[self.owner(team, group, 2)].fetch.stall = STALL_REASSIGN
+        team._reassign_stalled(group, step=11)
+        assert self.owner(team, group, 2) == first
+        team.drain_events()
+        return team, group, first
+
+    def test_reassigned_retriever_stages_its_new_slot(self):
+        team, group, first = self.double_listed()
+        self.connect(team, group, first, step=12)
+        assert group.staged == {0, 2}
+
+    def test_stalled_reassigned_retriever_hands_on_its_new_slot(self):
+        team, group, first = self.double_listed()
+        team.runtimes[first].fetch.stall = STALL_REASSIGN
+        team._reassign_stalled(group, step=12)
+        events = [e for e in team.drain_events() if e["type"] == "slot_reassigned"]
+        assert [e["slot"] for e in events] == [2]
+        heir = team.runtimes[events[0]["agent"]].fetch
+        assert (heir.slot, heir.offset) == (2, (0, 3))
 
 
 class TestCartographyLifecycle:
@@ -131,6 +191,7 @@ class TestCartographyLifecycle:
         w = self.world_pair()
         team = TeamController("alpha", ["alpha01", "alpha02"], seed=0)
         team.width, team.height = 30, 30
+        team.store.set_dims(w.dims)
         self.run_round(team, w)
         assert team.carto == {}
 
@@ -184,7 +245,7 @@ class TestBullies:
         team.building = True
         rt = team.runtimes[name]
         rt.role = BULLY_HUNTER
-        rt.bully = BullyState(kind="hunter", patrol_center=sub(center, world.spawns[name]))
+        rt.bully = BullyState(patrol_center=sub(center, world.spawns[name]))
         return team
 
     def test_hunter_relocates_and_visits_every_cluster(self, monkeypatch):
@@ -220,7 +281,6 @@ class TestBullies:
         team = self.hunter(w, center=(10, 10))
         rt = team.runtimes["alpha01"]
         rt.role = BULLY_BOUNCER
-        rt.bully.kind = "bouncer"
         monkeypatch.setattr("torusarena.team.RELOCATE_AFTER", 5)
         percepts = w.percepts(["alpha01"])
         for step in range(20):
