@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .merge_protocol import MergeProtocol, Sighting
-from .torus import DIR_OFFSETS, Coord, Dims, Offset, add, manhattan, torus_distance, wrap
+from .torus import DIR_OFFSETS, Coord, Dims, Offset, add, torus_distance, wrap
 from .world import CLEAR_COST, Action, Percept
 
 Vec = tuple[int, int]
@@ -64,18 +64,11 @@ def normalize(local: LocalMap, dims: Dims) -> LocalMap:
     return local
 
 
-def nearest(entries: Iterable[Coord], frm: Coord, dims: Optional[Dims]) -> Optional[Coord]:
-    """Closest entry by torus distance (plain Manhattan before dims are
-    known); ties broken by (y, x) ascending."""
-
-    def dist(c: Coord) -> int:
-        if dims:
-            return torus_distance(frm, c, dims)
-        return manhattan((c[0] - frm[0], c[1] - frm[1]))
-
+def nearest(entries: Iterable[Coord], frm: Coord, dims: Dims) -> Optional[Coord]:
+    """Closest entry by torus distance; ties broken by (y, x) ascending."""
     best = None
     for c in entries:
-        key = (dist(c), c[1], c[0])
+        key = (torus_distance(frm, c, dims), c[1], c[0])
         if best is None or key < best[0]:
             best = (key, c)
     return best[1] if best else None
@@ -121,7 +114,6 @@ class MapStore:
         self.leaders = {a: a for a in self.agents}
         self.offsets: dict[str, Vec] = {a: (0, 0) for a in self.agents}
         self.dims: Optional[Dims] = None
-        self.pending: list[Sighting] = []
 
     # ------------------------------------------------------------- structure
 
@@ -157,20 +149,13 @@ class MapStore:
 
     # ---------------------------------------------------------------- merges
 
-    def queue_sighting(self, s: Sighting) -> None:
-        self.pending.append(s)
-
-    def process_merges(self) -> list[MergeRecord]:
-        """Run every queued sighting to completion, FIFO. A report that no
-        longer matches the reporter's current position aborts its instance."""
+    def process_merges(self, sightings: Iterable[Sighting]) -> list[MergeRecord]:
+        """Run the step's sightings to completion, in order. A sighting whose
+        two agents share a leader by its turn merges nothing."""
         records: list[MergeRecord] = []
-        while self.pending:
-            s = self.pending.pop(0)
-            if self.leaders[s.a] == self.leaders[s.b]:
-                continue  # same group: nothing to merge
-            if self.maps[s.a].self_pos != s.pos_a or self.maps[s.b].self_pos != s.pos_b:
-                continue  # stale sighting: abort, groups unchanged
-            records.append(self._run_instance(s))
+        for s in sightings:
+            if self.leaders[s.a] != self.leaders[s.b]:
+                records.append(self._run_instance(s))
         return records
 
     def _run_instance(self, s: Sighting) -> MergeRecord:

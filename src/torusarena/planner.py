@@ -24,8 +24,10 @@ from .torus import (
     Dims,
     Offset,
     add,
+    manhattan,
     rotate_ccw,
     rotate_cw,
+    sub,
     torus_distance,
     wrap,
 )
@@ -270,17 +272,19 @@ def action_from_token(token: str) -> Action:
 
 
 def fallback_one_step(
-    percept: Percept, self_pos: Coord, destination: Coord, dims: Dims
+    percept: Percept, self_pos: Coord, destination: Coord, dims: Optional[Dims]
 ) -> Action:
-    """One move that strictly reduces the torus distance, else skip."""
+    """One move that strictly reduces the distance, else skip. The distance
+    is the torus distance, or plain Manhattan while `dims` is unknown."""
     occupied, obstacles = percept.occupied, percept.obstacles
-    here = torus_distance(self_pos, destination, dims)
+
+    def dist(c: Coord) -> int:
+        return torus_distance(c, destination, dims) if dims else manhattan(sub(destination, c))
+
+    here = dist(self_pos)
     for d in DIRECTIONS:
         off = DIR_OFFSETS[d]
-        if off in occupied or off in obstacles:
-            continue
-        cell = wrap(*add(self_pos, off), dims)
-        if torus_distance(cell, destination, dims) < here:
+        if off not in occupied and off not in obstacles and dist(add(self_pos, off)) < here:
             return Action.move(d)
     return Action.skip()
 
@@ -350,19 +354,22 @@ class Navigator:
     def _close_cycle(self) -> None:
         if self.plan:
             if self.cycle_attempted > 0 and self.cycle_succeeded == 0:
-                self.failed_cycles += 1
+                self._fail_cycle()
             else:
                 self.failed_cycles = 0
-            self.stuck = self.failed_cycles >= STUCK_CYCLES
+                self.stuck = False
         self.cycle_attempted = 0
         self.cycle_succeeded = 0
+
+    def _fail_cycle(self) -> None:
+        self.failed_cycles += 1
+        self.stuck = self.failed_cycles >= STUCK_CYCLES
 
     def _replan(self, percept: Percept, self_pos: Coord, dims: Dims) -> bool:
         self.plan, self.index = [], 0
         good = select_good_cell(percept, self.destination, self_pos, dims)
         if good is None:
-            self.failed_cycles += 1
-            self.stuck = self.failed_cycles >= STUCK_CYCLES
+            self._fail_cycle()
             return False
         try:
             problem = build_problem(percept, good)
@@ -370,8 +377,7 @@ class Navigator:
             return False
         plan = self.solve_fn(problem)
         if not plan:
-            self.failed_cycles += 1
-            self.stuck = self.failed_cycles >= STUCK_CYCLES
+            self._fail_cycle()
             return False
         self.plan = list(plan)
         return True

@@ -42,7 +42,6 @@ from .torus import (
     delta,
     neg,
     rotate_cw,
-    sub,
     torus_distance,
     wrap,
 )
@@ -101,7 +100,7 @@ class RetrieverTask:
     slot: int
     offset: Offset  # requirement offset relative to the origin anchor
     block_type: str
-    phase: str = "fetch"  # fetch | request | grab | deliver | orient | connect
+    phase: str = "fetch"  # fetch | grab | deliver | orient | connect
     stall: int = 0
     approach_index: int = 0
     orient_fails: int = 0
@@ -368,20 +367,20 @@ class TeamController:
     # ---------------------------------------------------------------- merges
 
     def _merges(self, pairs, step: int) -> None:
-        for fwd, _back in pairs:
-            a, b = fwd.observer, fwd.observed
-            if self.store.leader_of(a) == self.store.leader_of(b):
-                continue
-            self.store.queue_sighting(
-                Sighting(
-                    a=a,
-                    b=b,
-                    offset=fwd.offset,
-                    pos_a=self.store.maps[a].self_pos,
-                    pos_b=self.store.maps[b].self_pos,
-                )
+        leader_of = self.store.leader_of
+        # Most pairs are already in one group; build sightings only for the rest.
+        sightings = [
+            Sighting(
+                a=fwd.observer,
+                b=fwd.observed,
+                offset=fwd.offset,
+                pos_a=self.store.maps[fwd.observer].self_pos,
+                pos_b=self.store.maps[fwd.observed].self_pos,
             )
-        for record in self.store.process_merges():
+            for fwd, _back in pairs
+            if leader_of(fwd.observer) != leader_of(fwd.observed)
+        ]
+        for record in self.store.process_merges(sightings):
             self._emit(
                 step,
                 "merge",
@@ -451,9 +450,7 @@ class TeamController:
             while frontier:
                 cur = frontier.pop()
                 for off in CARDINALS:
-                    nxt = add(cur, off)
-                    if d:
-                        nxt = wrap(*nxt, d)
+                    nxt = wrap(*add(cur, off), d)
                     if nxt in goals:
                         goals.discard(nxt)
                         comp.add(nxt)
@@ -631,7 +628,7 @@ class TeamController:
         if rt.role == DELIVERER:
             return self._deliverer_policy(rt, percept, step)
         if rt.role == RETRIEVER:
-            return self._retriever_policy(rt, percept, step)
+            return self._retriever_policy(rt, percept)
         return self._explorer_policy(rt, percept, step)
 
     # -- explorer
@@ -697,7 +694,7 @@ class TeamController:
             target = add(st.patrol_center, PATROL_RING[st.patrol_phase])
             if d:
                 target = wrap(*target, d)
-        act = self._greedy_step(percept, pos, target)
+        act = fallback_one_step(percept, pos, target, d)
         if act.kind == "skip":
             st.patrol_phase = (st.patrol_phase + 1) % len(PATROL_RING)
         return act
@@ -735,26 +732,6 @@ class TeamController:
         st = rt.bully
         st.cluster_index %= len(clusters)
         return bottom_most(clusters[st.cluster_index])
-
-    def _greedy_step(self, percept: Percept, pos: Coord, target: Coord) -> Action:
-        d = self.store.dims
-        if d:
-            return fallback_one_step(percept, pos, target, d)
-        # Pre-normalization movement: plain vector chase in own frame.
-        diff = sub(target, pos)
-        order = []
-        if diff[1] < 0:
-            order.append("n")
-        if diff[1] > 0:
-            order.append("s")
-        if diff[0] > 0:
-            order.append("e")
-        if diff[0] < 0:
-            order.append("w")
-        for direction in order:
-            if self._free_ahead(percept, direction):
-                return Action.move(direction)
-        return Action.skip()
 
     def _explorer_movement_only(self, rt: AgentRuntime, percept: Percept) -> Action:
         if self._free_ahead(percept, rt.explore_dir):
@@ -856,77 +833,51 @@ class TeamController:
 
     # -- retriever
 
-    def _retriever_policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
+    def _retriever_policy(self, rt: AgentRuntime, percept: Percept) -> Action:
         group = self.groups[rt.group]
         task = rt.fetch
         pos = self.position_of(rt.name)
         d = self.store.dims
         if task is None:
             return self._step_aside(group, percept, pos)
-        view = self.store.merged_view(rt.name)
         last = percept.last_action_result
         if last is not None and last[1] == "success" and last[0] != "skip":
             task.stall = 0
         else:
             task.stall += 1
-        if task.phase == "fetch":
-            dispensers = view.dispensers_of(task.block_type)
-            if not dispensers:
-                return self._explorer_policy(rt, percept, step)
-            target = nearest(dispensers, pos, d)
-            approach = self._adjacent_free(percept, pos, target)
-            if pos == approach or delta(pos, target, d) in CARDINALS:
-                task.phase = "request"
-            else:
-                return self._navigate(rt, percept, pos, approach)
-        if task.phase == "request":
-            dispensers = view.dispensers_of(task.block_type)
+        if task.phase == "grab" and percept.self_attached:
+            task.phase = "deliver"
+        if task.phase in ("fetch", "grab"):
+            # select_task only picks types the merged view holds, and the
+            # view never shrinks, so a dispenser of the type is known.
+            dispensers = self.store.merged_view(rt.name).dispensers_of(task.block_type)
             target = nearest(dispensers, pos, d)
             off = delta(pos, target, d)
-            direction = OFFSET_DIRS.get(off)
-            if direction is None:
+            if off not in CARDINALS:
+                if task.phase == "fetch":
+                    return self._navigate(rt, percept, pos, self._adjacent_free(percept, pos, target))
                 task.phase = "fetch"
                 return Action.skip()
-            if off in percept.blocks:
-                task.phase = "grab"
-                return Action.attach(direction)
             task.phase = "grab"
-            return Action.request(direction)
-        if task.phase == "grab":
-            if percept.self_attached:
-                task.phase = "deliver"
-            else:
-                dispensers = view.dispensers_of(task.block_type)
-                target = nearest(dispensers, pos, d)
-                direction = OFFSET_DIRS.get(delta(pos, target, d))
-                if direction is None:
-                    task.phase = "fetch"
-                    return Action.skip()
-                if DIR_OFFSETS[direction] in percept.blocks:
-                    return Action.attach(direction)
-                return Action.request(direction)
+            if off in percept.blocks:
+                return Action.attach(OFFSET_DIRS[off])
+            return Action.request(OFFSET_DIRS[off])
+        slot_cell = wrap(*add(group.anchor, task.offset), d)
         if task.phase == "deliver":
-            slot_cell = wrap(*add(group.anchor, task.offset), d) if group.anchor else None
-            if slot_cell is None:
-                return Action.skip()
             approach = self._slot_approach(group, slot_cell, task.approach_index)
             if pos != approach:
                 return self._navigate(rt, percept, pos, approach)
             task.phase = "orient"
             task.orient_fails = 0
+        # From here on the agent only rotates, connects or skips, so it stays
+        # on the approach cell, cardinally next to the slot.
+        need = delta(pos, slot_cell, d)
         if task.phase == "orient":
-            slot_cell = wrap(*add(group.anchor, task.offset), d)
-            need = delta(pos, slot_cell, d)
-            if need not in CARDINALS:
-                task.phase = "deliver"
-                return Action.skip()
-            current = percept.self_attached[0][0] if percept.self_attached else None
-            if current is None:
+            if not percept.self_attached:
                 task.phase = "fetch"
                 return Action.skip()
-            if current == need:
-                task.phase = "connect"
-            else:
+            current = percept.self_attached[0][0]
+            if current != need:
                 if percept.last_action_result == ("rotate", "failed:blocked"):
                     task.orient_fails += 1
                     if task.orient_fails >= 4:
@@ -936,16 +887,10 @@ class TeamController:
                         rt.navigator = None
                         return Action.skip()
                 return Action.rotate(_rotation_toward(current, need))
-        if task.phase == "connect":
-            if not self._predecessors_staged(group, task.slot):
-                return Action.skip()  # structure must grow outward from the origin
-            slot_cell = wrap(*add(group.anchor, task.offset), d)
-            off = delta(pos, slot_cell, d)
-            if off not in CARDINALS:
-                task.phase = "deliver"
-                return Action.skip()
-            return Action.connect(group.origin, off)
-        return Action.skip()
+            task.phase = "connect"
+        if not self._predecessors_staged(group, task.slot):
+            return Action.skip()  # structure must grow outward from the origin
+        return Action.connect(group.origin, need)
 
     def _predecessors_staged(self, group: TaskGroup, slot: int) -> bool:
         return all(s in group.staged for s in range(slot))

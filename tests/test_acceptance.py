@@ -137,16 +137,17 @@ def test_criterion_2_cartography_exactness():
 
 def _merge_case(world, store, a, b):
     off = delta(world.agents[a].pos, world.agents[b].pos, world.dims)
-    store.queue_sighting(
-        Sighting(
-            a=a,
-            b=b,
-            offset=off,
-            pos_a=store.maps[a].self_pos,
-            pos_b=store.maps[b].self_pos,
-        )
+    store.process_merges(
+        [
+            Sighting(
+                a=a,
+                b=b,
+                offset=off,
+                pos_a=store.maps[a].self_pos,
+                pos_b=store.maps[b].self_pos,
+            )
+        ]
     )
-    store.process_merges()
 
 
 def _frames_match_ground_truth(world, store):

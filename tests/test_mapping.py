@@ -86,9 +86,6 @@ class TestNearest:
     def test_single_entry(self):
         assert nearest({(7, 7)}, (0, 0), Dims(50, 50)) == (7, 7)
 
-    def test_unknown_dims_uses_plain_manhattan(self):
-        assert nearest({(10, 0), (-2, 0)}, (0, 0), None) == (-2, 0)
-
 
 def walk(world, store, name, moves):
     """Drive one agent, maintaining its local map exactly as the controller
@@ -134,8 +131,7 @@ class TestMerge:
         store = MapStore(["alpha01", "alpha02"])
         record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))
         record_statics(store.maps["alpha02"], percept_of(w, "alpha02"))
-        store.queue_sighting(self.sight(w, store, "alpha01", "alpha02"))
-        records = store.process_merges()
+        records = store.process_merges([self.sight(w, store, "alpha01", "alpha02")])
         assert len(records) == 1
         assert store.leader_of("alpha01") == store.leader_of("alpha02")
         assert len(store.group_members(store.leader_of("alpha01"))) == 2
@@ -149,10 +145,12 @@ class TestMerge:
     def test_same_leader_is_noop(self):
         w = scripted_world(10, 10, {"alpha": [(2, 2), (6, 2)]})
         store = MapStore(["alpha01", "alpha02"])
-        store.queue_sighting(self.sight(w, store, "alpha01", "alpha02"))
-        store.process_merges()
-        store.queue_sighting(self.sight(w, store, "alpha01", "alpha02"))
-        assert store.process_merges() == []
+        store.process_merges([self.sight(w, store, "alpha01", "alpha02")])
+        assert store.process_merges([self.sight(w, store, "alpha01", "alpha02")]) == []
+        # Also when the pair merged earlier in the same step's list.
+        store = MapStore(["alpha01", "alpha02"])
+        s = self.sight(w, store, "alpha01", "alpha02")
+        assert len(store.process_merges([s, s])) == 1
 
     def test_larger_group_wins(self):
         names = [f"alpha{i:02d}" for i in range(1, 9)]
@@ -166,20 +164,10 @@ class TestMerge:
         for n in names[3:]:
             store.leaders[n] = "alpha04"
             store.offsets[n] = sub(w.spawns[n], w.spawns["alpha04"])
-        store.queue_sighting(self.sight(w, store, "alpha03", "alpha04"))
-        records = store.process_merges()
+        records = store.process_merges([self.sight(w, store, "alpha03", "alpha04")])
         assert records[0].winner == "alpha04"
         assert store.leader_of("alpha01") == "alpha04"
         self.ground_truth_ok(w, store)
-
-    def test_stale_sighting_aborts(self):
-        w = scripted_world(10, 10, {"alpha": [(2, 2), (6, 2)]})
-        store = MapStore(["alpha01", "alpha02"])
-        s = self.sight(w, store, "alpha01", "alpha02")
-        store.maps["alpha01"].advance((1, 0))  # agent moved after the sighting
-        store.queue_sighting(s)
-        assert store.process_merges() == []
-        assert store.leader_of("alpha01") != store.leader_of("alpha02")
 
     def test_confluence_up_to_translation(self):
         # Force the merge in both directions by renaming which side hosts
@@ -197,8 +185,7 @@ class TestMerge:
             record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))
             record_statics(store.maps["alpha02"], percept_of(w, "alpha02"))
             a, b = ("alpha02", "alpha01") if swap else ("alpha01", "alpha02")
-            store.queue_sighting(self.sight(w, store, a, b))
-            store.process_merges()
+            store.process_merges([self.sight(w, store, a, b)])
             return store
 
         s1, s2 = build(False), build(True)
@@ -230,8 +217,7 @@ class TestMerge:
             store.set_dims(Dims(8, 8))
             record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))
             record_statics(store.maps["alpha02"], percept_of(w, "alpha02"))
-            store.queue_sighting(self.sight(w, store, "alpha01", "alpha02"))
-            store.process_merges()
+            store.process_merges([self.sight(w, store, "alpha01", "alpha02")])
             self.ground_truth_ok(w, store)
 
 

@@ -299,21 +299,48 @@ class TestGoodCell:
 
 
 class TestFallback:
+    # Each case runs on the torus and, with dims=None, in the plane: the
+    # chase before the dimensions are known, by plain Manhattan distance.
+    DIMS = (Dims(20, 20), None)
+
     def test_moves_toward_destination(self):
         w = scripted_world(20, 20, {"alpha": [(5, 5)]})
-        act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (9, 5), Dims(20, 20))
-        assert act == Action.move("e")
+        percept = percept_of(w, "alpha01")
+        for dims in self.DIMS:
+            assert fallback_one_step(percept, (5, 5), (9, 5), dims) == Action.move("e"), dims
+            assert fallback_one_step(percept, (5, 5), (1, 5), dims) == Action.move("w"), dims
+            assert fallback_one_step(percept, (5, 5), (5, 8), dims) == Action.move("s"), dims
 
     def test_all_neighbors_blocked_skips(self):
         w = scripted_world(20, 20, {"alpha": [(5, 5)]}, obstacles=[(5, 4), (5, 6), (4, 5), (6, 5)])
-        act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (9, 5), Dims(20, 20))
-        assert act == Action.skip()
+        for dims in self.DIMS:
+            act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (9, 5), dims)
+            assert act == Action.skip(), dims
 
     def test_tie_break_follows_nsew(self):
+        # Destination diagonal: north and east both reduce distance; N wins,
+        # and E once north is blocked.
+        open_world = scripted_world(20, 20, {"alpha": [(5, 5)]})
+        north_blocked = scripted_world(20, 20, {"alpha": [(5, 5)]}, obstacles=[(5, 4)])
+        for dims in self.DIMS:
+            act = fallback_one_step(percept_of(open_world, "alpha01"), (5, 5), (8, 2), dims)
+            assert act == Action.move("n"), dims
+            act = fallback_one_step(percept_of(north_blocked, "alpha01"), (5, 5), (8, 2), dims)
+            assert act == Action.move("e"), dims
+
+    def test_never_steps_away(self):
+        # The one step toward the destination is blocked: skip, no detour.
+        w = scripted_world(20, 20, {"alpha": [(5, 5)]}, obstacles=[(5, 6)])
+        for dims in self.DIMS:
+            act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (5, 9), dims)
+            assert act == Action.skip(), dims
+
+    def test_planar_distance_ignores_wrap(self):
         w = scripted_world(20, 20, {"alpha": [(5, 5)]})
-        # Destination diagonal: north and east both reduce distance; N wins.
-        act = fallback_one_step(percept_of(w, "alpha01"), (5, 5), (8, 2), Dims(20, 20))
-        assert act == Action.move("n")
+        percept = percept_of(w, "alpha01")
+        # 19 cells west in the plane, one cell east around the torus.
+        assert fallback_one_step(percept, (5, 5), (-14, 5), None) == Action.move("w")
+        assert fallback_one_step(percept, (5, 5), (-14, 5), Dims(20, 20)) == Action.move("e")
 
 
 class TestNavigator:

@@ -10,6 +10,7 @@ import pytest
 
 from torusarena.harness import OPPONENTS, MatchConfig, run_match
 from torusarena.team import CARTOGRAPHER, DELIVERER, ORIGIN, RETRIEVER, TeamController
+from torusarena.torus import CARDINALS, add, delta, wrap
 from torusarena.world import World
 
 GRIDS = ((20, 20), (24, 20), (22, 26))
@@ -19,10 +20,17 @@ STEPS = 60
 CASES = list(itertools.product(sorted(OPPONENTS), DENSITIES, CLEAR_RATES))
 
 
-def check_group_tables(team: TeamController) -> int:
+FETCH_PHASES = ("fetch", "grab", "deliver", "orient", "connect")
+
+
+def check_group_tables(team: TeamController) -> tuple[int, int]:
     """Each cartography pair sits under its own dimension, and each task
-    group's roles, slots and staged set agree; returns the groups checked."""
+    group's roles, slots and staged set agree. A retriever holding a slot is
+    in one of the fetch phases, and in orient or connect it stands cardinally
+    next to its slot cell. Returns the groups checked and the retrievers
+    checked beside their slot."""
     rts = team.runtimes
+    beside = 0
     for dimension, state in team.carto.items():
         assert state.dimension == dimension
         assert all(rts[n].role == CARTOGRAPHER for n in state.pair), state.pair
@@ -38,14 +46,26 @@ def check_group_tables(team: TeamController) -> int:
         else:
             required = set(range(len(group.requirement_list())))
             assert set(slots) <= required and group.staged <= required, where
-    return len(team.groups)
+        for r in group.retrievers:
+            fetch = rts[r].fetch
+            if fetch is None:
+                continue
+            assert fetch.phase in FETCH_PHASES, (where, r, fetch.phase)
+            if fetch.phase in ("orient", "connect"):
+                dims = team.store.dims
+                slot_cell = wrap(*add(group.anchor, fetch.offset), dims)
+                off = delta(team.position_of(r), slot_cell, dims)
+                assert off in CARDINALS, (where, r, fetch.phase, off)
+                beside += 1
+    return len(team.groups), beside
 
 
 @pytest.fixture
 def checked_steps(monkeypatch):
     """Run every invariant check after every World.step; returns the checked
-    step numbers and the number of task-group checks."""
-    teams, checked = [], {"steps": [], "groups": 0}
+    step numbers, the number of task-group checks and the number of
+    retrievers checked beside their slot."""
+    teams, checked = [], {"steps": [], "groups": 0, "beside_slot": 0}
     init, step = TeamController.__init__, World.step
 
     def recording_init(self, *args, **kwargs):
@@ -56,7 +76,9 @@ def checked_steps(monkeypatch):
         out = step(self, *args, **kwargs)
         self.check_invariants()
         teams[-1].store.check_one_leader()
-        checked["groups"] += check_group_tables(teams[-1])
+        groups, beside = check_group_tables(teams[-1])
+        checked["groups"] += groups
+        checked["beside_slot"] += beside
         checked["steps"].append(self.step_num)
         return out
 
@@ -65,10 +87,9 @@ def checked_steps(monkeypatch):
     return checked
 
 
-@pytest.mark.parametrize("opponent,density,clear_rate", CASES)
-def test_invariants_hold_every_step(checked_steps, opponent, density, clear_rate):
-    i = CASES.index((opponent, density, clear_rate))
-    cfg = MatchConfig(
+def sweep_config(i: int) -> MatchConfig:
+    opponent, density, clear_rate = CASES[i]
+    return MatchConfig(
         dims=GRIDS[i % len(GRIDS)],
         team_size=15,  # one full group: origin, deliverer, retrievers, a hunter
         steps=STEPS,
@@ -78,8 +99,22 @@ def test_invariants_hold_every_step(checked_steps, opponent, density, clear_rate
         clear_event_rate=clear_rate,
         task_interval=10,
     )
-    report, _ = run_match(cfg)
+
+
+@pytest.mark.parametrize("opponent,density,clear_rate", CASES)
+def test_invariants_hold_every_step(checked_steps, opponent, density, clear_rate):
+    report, _ = run_match(sweep_config(CASES.index((opponent, density, clear_rate))))
     assert report.steps == STEPS
     assert len(checked_steps["steps"]) == STEPS
     # Every sweep match starts building, so its group table gets checked.
     assert checked_steps["groups"] > 0
+
+
+def test_sweep_checks_retrievers_beside_their_slot(checked_steps):
+    """The beside-the-slot invariant must not hold vacuously: some sweep
+    match has a retriever in orient or connect."""
+    for i in range(len(CASES)):
+        run_match(sweep_config(i))
+        if checked_steps["beside_slot"] > 0:
+            break
+    assert checked_steps["beside_slot"] > 0
