@@ -1,11 +1,15 @@
 """Per-agent maps of static entities, the leader-based merge of map frames,
-and the cartography procedure that discovers the torus dimensions.
+and the cartography machine that discovers the torus dimensions.
 
 Every agent anchors its own frame at its start cell. Merging never rewrites
 map contents: it only updates the shared group table (leader plus frame
 offset per agent), and every team-level read translates member maps through
 that table on the fly. The merge choreography itself is executed by the
 shared protocol engine, one serialized instance per sighting.
+
+`Cartography` owns the cartographer pairs (at most one per dimension) and
+the sides they measured; when the second side is measured it hands the grid
+size to `MapStore.set_dims`, and `MapStore.dims` is the one copy of it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .identity import Identification
 from .merge_protocol import MergeProtocol, Sighting
-from .torus import DIR_OFFSETS, Coord, Dims, Offset, add, torus_distance, wrap
+from .torus import DIR_OFFSETS, Coord, Dims, Offset, add, neg, torus_distance, wrap
 from .world import CLEAR_COST, Action, Percept
 
 Vec = tuple[int, int]
@@ -253,3 +258,91 @@ def cartographer_action(state: CartographyState, agent: str, percept: Percept) -
         return Action.clear(ahead)
     # Entities ahead: keep trying the same move until it succeeds.
     return Action.move(direction)
+
+
+class Cartography:
+    """The team's cartographer pairs as one machine: the active pair of each
+    dimension, in adoption order, and the sides measured so far. Its inputs
+    are a cartographer's successful move, the step's identifications and the
+    mutual identifications of two explorers; `update` returns the (type,
+    payload) log events in the order they happen."""
+
+    def __init__(self, store: MapStore):
+        self.store = store
+        self.pairs: dict[str, CartographyState] = {}
+        self.sizes: dict[str, int] = {}
+
+    def pair_of(self, agent: str) -> Optional[CartographyState]:
+        for state in self.pairs.values():
+            if agent in state.pair:
+                return state
+        return None
+
+    def moved(self, agent: str) -> None:
+        state = self.pair_of(agent)
+        if state is not None and agent == state.pair[0]:
+            state.steps_a += 1
+        elif state is not None:
+            state.steps_b += 1
+
+    def update(
+        self,
+        idents: list[Identification],
+        explorer_pairs: Iterable[tuple[Identification, Identification]],
+        step: int,
+    ) -> list[tuple[str, dict]]:
+        events = []
+        # Re-sighting first: an active pair identifying each other again
+        # after separation closes the measurement. Each pair reads its first
+        # sighting with pair[0] observing, else its first the other way.
+        first = {(e.observer, e.observed): e for e in reversed(idents)} if self.pairs else {}
+        for state in list(self.pairs.values()):
+            a, b = state.pair
+            e = first.get((a, b)) or first.get((b, a))
+            if e is None:
+                continue
+            off = e.offset if e.observer == a else neg(e.offset)
+            along = state.axis(off)
+            gap = step - state.last_seen_step
+            state.last_seen_step = step
+            if gap < RESIGHT_GAP or along > 0:
+                continue
+            try:
+                size = finish_dimension(state.steps_a, state.steps_b, state.initial_distance, -along)
+            except CartographyFault:
+                events.append(self._close(state, "cartography_aborted"))
+                continue
+            events.append(self._close(
+                state, "cartography_finished", size=size, steps=[state.steps_a, state.steps_b],
+                initial_distance=state.initial_distance, residual=-along,
+            ))
+            self.sizes[state.dimension] = size
+            if len(self.sizes) == 2:
+                self.store.set_dims(Dims(self.sizes["horizontal"], self.sizes["vertical"]))
+        # Adoption, while the grid size is unknown: a mutual identification
+        # of two explorers outside every pair, the pairs closed above
+        # included, opens the first side neither measured nor paired.
+        if self.store.dims is not None:
+            return events
+        for fwd, _back in explorer_pairs:
+            a, b = fwd.observer, fwd.observed
+            if self.pair_of(a) is not None or self.pair_of(b) is not None:
+                continue
+            unmeasured = [d for d in ("horizontal", "vertical") if d not in self.sizes]
+            dimension = next((d for d in unmeasured if d not in self.pairs), None)
+            if dimension is None:
+                break
+            state = adopt_cartographers(a, b, fwd.offset, dimension, step)
+            if state is None:
+                continue
+            self.pairs[dimension] = state
+            events.append(("cartography_started", {
+                "dimension": dimension, "pair": list(state.pair),
+                "initial_distance": state.initial_distance,
+            }))
+        return events
+
+    def _close(self, state: CartographyState, kind: str, **payload) -> tuple[str, dict]:
+        """End a pair, finished or aborted: its two agents explore again."""
+        del self.pairs[state.dimension]
+        return kind, {"dimension": state.dimension, "pair": list(state.pair), **payload}

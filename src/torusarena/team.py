@@ -1,12 +1,15 @@
 """Role lifecycle and per-agent policies for the strategy team: exploration,
-cartographer pairs, leader-based map merging, group formation by round size,
+leader-based map merging, group formation by round size,
 origin/retriever/deliverer task assembly with the origin-deliverer swap, and
-bouncer/hunter bullies.
+bouncer/hunter bullies. Cartographer pairs are `mapping.Cartography`'s: the
+controller feeds it moves and identifications, emits its events, and lets an
+agent in a pair walk for it.
 
 The controller is the in-process stand-in for the team's message fabric:
 identification replies, merge reports and group signals all resolve between
 steps, and every per-agent decision reads only that agent's percept plus the
-shared blackboard (maps, group table, cartography results).
+shared blackboard (maps, group table, cartography pairs). The grid size has
+one copy, `MapStore.dims`.
 """
 
 from __future__ import annotations
@@ -16,17 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .identity import identification_round, mutual_pairs
-from .mapping import (
-    CartographyFault,
-    CartographyState,
-    MapStore,
-    RESIGHT_GAP,
-    adopt_cartographers,
-    cartographer_action,
-    finish_dimension,
-    nearest,
-    record_statics,
-)
+from .mapping import Cartography, MapStore, cartographer_action, nearest, record_statics
 from .merge_protocol import Sighting
 from .planner import Navigator, Plan, Problem, fallback_one_step, solve
 from .plan_cache import CacheStore, solve_cached
@@ -40,7 +33,6 @@ from .torus import (
     Offset,
     add,
     delta,
-    neg,
     rotate_cw,
     torus_distance,
     wrap,
@@ -48,7 +40,6 @@ from .torus import (
 from .world import ACCEPT_RADIUS, CLEAR_COST, Action, Percept, Task
 
 EXPLORER = "explorer"
-CARTOGRAPHER = "cartographer"
 ORIGIN = "origin"
 RETRIEVER = "retriever"
 DELIVERER = "deliverer"
@@ -109,7 +100,6 @@ class RetrieverTask:
 @dataclass
 class TaskGroup:
     gid: int
-    members: list[str]
     origin: Optional[str] = None
     deliverer: Optional[str] = None
     retrievers: list[str] = field(default_factory=list)
@@ -183,9 +173,7 @@ class TeamController:
         self.store = MapStore(self.names)
         self.cache = cache
         self.group_capacity = group_capacity
-        self.width: Optional[int] = None
-        self.height: Optional[int] = None
-        self.carto: dict[str, CartographyState] = {}  # active pair per dimension
+        self.cartography = Cartography(self.store)
         self.groups: list[TaskGroup] = []
         self.building = False
         self.bouncer_count = 0
@@ -240,7 +228,15 @@ class TeamController:
         if idents:
             self._emit(step, "identification", count=len(idents))
         pairs = mutual_pairs(idents)
-        self._cartography(pairs, idents, step)
+        # Lazy: adoption reads it only until no side is left open.
+        explorer_pairs = (
+            (fwd, back)
+            for fwd, back in pairs
+            if self.runtimes[fwd.observer].role == EXPLORER
+            and self.runtimes[fwd.observed].role == EXPLORER
+        )
+        for kind, payload in self.cartography.update(idents, explorer_pairs, step):
+            self._emit(step, kind, **payload)
         self._merges(pairs, step)
         self._maybe_start_building(step)
         self._group_coordination(percepts, step)
@@ -273,96 +269,9 @@ class TeamController:
             ):
                 off = DIR_OFFSETS[rt.last_action.direction]
                 self.store.maps[name].advance(off)
-                state = self._carto_of(name)
-                if state is not None:
-                    if name == state.pair[0]:
-                        state.steps_a += 1
-                    else:
-                        state.steps_b += 1
+                self.cartography.moved(name)
             elif last == ("accept", "success"):
                 rt.accepted_tasks.add(rt.last_action.task)
-
-    # ------------------------------------------------------------ cartography
-
-    def _cartography(self, pairs, idents, step: int) -> None:
-        # Re-sighting first: an active pair identifying each other again
-        # after separation closes the measurement. Each pair reads its first
-        # sighting with pair[0] observing, else its first the other way.
-        first = {(e.observer, e.observed): e for e in reversed(idents)} if self.carto else {}
-        for state in list(self.carto.values()):
-            a, b = state.pair
-            e = first.get((a, b)) or first.get((b, a))
-            if e is None:
-                continue
-            off = e.offset if e.observer == a else neg(e.offset)
-            along = state.axis(off)
-            gap = step - state.last_seen_step
-            state.last_seen_step = step
-            if gap < RESIGHT_GAP or along > 0:
-                continue
-            try:
-                size = finish_dimension(
-                    state.steps_a, state.steps_b, state.initial_distance, -along
-                )
-            except CartographyFault:
-                self._abort_pair(state, step)
-                continue
-            if state.dimension == "horizontal":
-                self.width = size
-            else:
-                self.height = size
-            for n in state.pair:
-                self.runtimes[n].role = EXPLORER
-            del self.carto[state.dimension]
-            self._emit(
-                step,
-                "cartography_finished",
-                dimension=state.dimension,
-                size=size,
-                pair=list(state.pair),
-                steps=[state.steps_a, state.steps_b],
-                initial_distance=state.initial_distance,
-                residual=-along,
-            )
-            if self.width is not None and self.height is not None:
-                self.store.set_dims(Dims(self.width, self.height))
-        # Adoption: a fresh mutual identification between two explorers.
-        for fwd, _back in pairs:
-            a, b = fwd.observer, fwd.observed
-            if self.runtimes[a].role != EXPLORER or self.runtimes[b].role != EXPLORER:
-                continue
-            dimension = self._open_dimension()
-            if dimension is None:
-                return
-            state = adopt_cartographers(a, b, fwd.offset, dimension, step)
-            if state is None:
-                continue
-            self.carto[dimension] = state
-            self.runtimes[a].role = CARTOGRAPHER
-            self.runtimes[b].role = CARTOGRAPHER
-            self._emit(
-                step,
-                "cartography_started",
-                dimension=dimension,
-                pair=list(state.pair),
-                initial_distance=state.initial_distance,
-            )
-
-    def _carto_of(self, name: str) -> Optional[CartographyState]:
-        return next((s for s in self.carto.values() if name in s.pair), None)
-
-    def _open_dimension(self) -> Optional[str]:
-        if self.width is None and "horizontal" not in self.carto:
-            return "horizontal"
-        if self.height is None and "vertical" not in self.carto:
-            return "vertical"
-        return None
-
-    def _abort_pair(self, state: CartographyState, step: int) -> None:
-        for n in state.pair:
-            self.runtimes[n].role = EXPLORER
-        del self.carto[state.dimension]
-        self._emit(step, "cartography_aborted", dimension=state.dimension, pair=list(state.pair))
 
     # ---------------------------------------------------------------- merges
 
@@ -414,11 +323,10 @@ class TeamController:
             if rt.role == BULLY_HUNTER:
                 rt.bully = BullyState()
             census[rt.role] = census.get(rt.role, 0) + 1
-        self.bouncer_count = 0
         self.groups = []
         for gid in range(n_groups):
             members = self.names[gid * self.group_capacity : (gid + 1) * self.group_capacity]
-            group = TaskGroup(gid=gid, members=members)
+            group = TaskGroup(gid=gid)
             for m in members:
                 role = self.runtimes[m].role
                 if role == ORIGIN:
@@ -619,8 +527,9 @@ class TeamController:
     # ---------------------------------------------------------------- policies
 
     def _policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
-        if rt.role == CARTOGRAPHER:
-            return cartographer_action(self._carto_of(rt.name), rt.name, percept)
+        pair = self.cartography.pair_of(rt.name)
+        if pair is not None:
+            return cartographer_action(pair, rt.name, percept)
         if rt.role in (BULLY_BOUNCER, BULLY_HUNTER):
             return self._bully_policy(rt, percept, step)
         if rt.role == ORIGIN:
@@ -854,10 +763,7 @@ class TeamController:
             target = nearest(dispensers, pos, d)
             off = delta(pos, target, d)
             if off not in CARDINALS:
-                if task.phase == "fetch":
-                    return self._navigate(rt, percept, pos, self._adjacent_free(percept, pos, target))
-                task.phase = "fetch"
-                return Action.skip()
+                return self._navigate(rt, percept, pos, self._adjacent_free(percept, pos, target))
             task.phase = "grab"
             if off in percept.blocks:
                 return Action.attach(OFFSET_DIRS[off])

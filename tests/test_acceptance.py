@@ -119,11 +119,9 @@ def test_criterion_2_cartography_exactness():
             actions = team.act(percepts, step)
             percepts, _ = world.step(actions, team.names)
             team.drain_events()
-            if team.width is not None and team.height is not None:
+            if team.store.dims is not None:
                 break
-        assert (team.width, team.height) == dims, (
-            f"trial {trial}: measured {(team.width, team.height)}, actual {dims}"
-        )
+        assert team.store.dims == dims, f"trial {trial}: measured {team.store.dims}, actual {dims}"
         finishes.append(step)
     # The sum formula reduces to steps_a + steps_b + initial_distance when
     # the residual is zero.
@@ -424,7 +422,7 @@ def run_assembly_instrumented(seed=6):
             window = 0
         # Role census invariant, every step.
         for group in team.groups:
-            roles = [team.runtimes[m].role for m in group.members]
+            roles = [rt.role for rt in team.runtimes.values() if rt.group == group.gid]
             assert roles.count("origin") == 1
             assert roles.count("deliverer") == 1
             assert roles.count("retriever") <= 12
@@ -475,7 +473,6 @@ def test_criterion_8_bully_interception():
         tasks=[(0, "tX", 10, 200, [((0, 1), "b2")])],
     )
     team = TeamController("alpha", ["alpha01"], seed=3)
-    team.width, team.height = 30, 30
     team.store.set_dims(world.dims)
     team.building = True
     rt = team.runtimes["alpha01"]
@@ -537,7 +534,7 @@ def test_criterion_9_determinism():
             percepts, events = world.step(actions, team.names)
             trace.extend(team.drain_events())
             trace.extend(events)
-            if team.width and team.height:
+            if team.store.dims is not None:
                 break
         runs.append(trace)
     assert runs[0] == runs[1]

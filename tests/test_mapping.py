@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from conftest import percept_of, scripted_world
+from torusarena.identity import Identification, mutual_pairs
 from torusarena.mapping import (
+    Cartography,
     CartographyFault,
     LocalMap,
     MapStore,
@@ -13,7 +17,7 @@ from torusarena.mapping import (
     record_statics,
 )
 from torusarena.merge_protocol import Sighting
-from torusarena.torus import DIR_OFFSETS, Dims, add, delta, sub, wrap
+from torusarena.torus import DIR_OFFSETS, VISION_RADIUS, Dims, add, delta, neg, sub, wrap
 from torusarena.world import Action
 
 
@@ -251,6 +255,108 @@ class TestCartography:
     def test_negative_size_faults(self):
         with pytest.raises(CartographyFault):
             finish_dimension(1, 1, 0, -3)
+
+
+# The live cartography machine, driven with no World: a pair adopted at step
+# 0, `a` walking the negative direction and `b` the positive one, each step
+# except its blocked ones, at a fixed perpendicular offset.
+BLOCKED = {  # pattern: side -> (steps a is blocked, steps b is blocked)
+    "free": lambda side: ((), ()),
+    "a-early": lambda side: ((1, 2), ()),
+    "b-mid": lambda side: ((), (side // 3,)),
+    "both-meet": lambda side: ((side // 2 - 1,), (side // 2 - 1, side // 2)),
+}
+LATE = (
+    "a re-sighting after the pair crossed is discarded (the along > 0 guard), so the pair "
+    "measures a second lap: the doubled-height FOUND line in CHANGES.md"
+)
+
+
+def pair_track(side, along0, blocked, steps):
+    """The torus offset from a to b along the walked axis at each step."""
+    track, pos_a, pos_b = [], 0, along0
+    for t in range(steps):
+        off = (pos_b - pos_a) % side
+        track.append(off - side if off > side // 2 else off)
+        pos_a -= t not in blocked[0]
+        pos_b += t not in blocked[1]
+    return track
+
+
+def resight_window(track, perp):
+    """Steps of the pair's re-approach: the first run in sight after they
+    lose sight of each other. None when they stay in sight until they are
+    past half a lap apart: then no re-sighting follows a gap, and nothing
+    can close the first lap."""
+    seen = [abs(along) + abs(perp) <= VISION_RADIUS for along in track]
+    if False not in seen or min(track[: seen.index(False)]) < 0:
+        return None
+    start = seen.index(True, seen.index(False))
+    return range(start, (seen + [False]).index(False, start))
+
+
+def cartography_cases(count):
+    """A seeded sample of the table: every side from 2*VISION_RADIUS+2 to
+    30, every start offset a pair can be adopted at, blocked steps on
+    either side, and the first 0-3 re-sightings of the re-approach lost
+    (as ambiguous sightings are). A case is late when its first delivered
+    re-sighting comes after the pair crossed."""
+    table = []
+    for side in range(2 * VISION_RADIUS + 2, 31):
+        for perp in range(-4, 5):
+            for along0 in range(perp == 0, VISION_RADIUS - abs(perp) + 1):
+                for pattern, blocked in BLOCKED.items():
+                    track = pair_track(side, along0, blocked(side), 4 * side)
+                    window = resight_window(track, perp)
+                    if window is None:
+                        continue
+                    for delay in range(min(4, len(window))):
+                        late = track[window[delay]] > 0
+                        for dimension in ("horizontal", "vertical"):
+                            table.append(((side, along0, perp, pattern, delay, dimension), late))
+    return [
+        pytest.param(
+            *case,
+            marks=[pytest.mark.xfail(reason=LATE, strict=True)] if late else [],
+            id="-".join(map(str, case)),
+        )
+        for case, late in sorted(random.Random(0).sample(table, count))
+    ]
+
+
+@pytest.mark.parametrize("side,along0,perp,pattern,delay,dimension", cartography_cases(240))
+def test_cartography_pair_measures_the_side_or_aborts(side, along0, perp, pattern, delay, dimension):
+    blocked = BLOCKED[pattern](side)
+    track = pair_track(side, along0, blocked, 4 * side)
+    lost = set(resight_window(track, perp)[:delay])
+    store = MapStore(["a", "b"])
+    carto = Cartography(store)
+    if dimension == "vertical":
+        carto.sizes["horizontal"] = 40  # the width is measured, so the pair takes the height
+    for t, along in enumerate(track):
+        idents = []
+        if abs(along) + abs(perp) <= VISION_RADIUS and t not in lost:
+            off = (along, perp) if dimension == "horizontal" else (perp, along)
+            idents = [Identification("a", "b", off, t), Identification("b", "a", neg(off), t)]
+        events = carto.update(idents, mutual_pairs(idents), t)
+        if t == 0:
+            assert events == [("cartography_started", {
+                "dimension": dimension, "pair": ["a", "b"], "initial_distance": along0,
+            })]
+        elif events:
+            (kind, payload), *adopted = events  # the pair may be adopted again at once
+            assert [k for k, _ in adopted] in ([], ["cartography_started"])
+            break
+        for agent, steps in zip("ab", blocked):
+            if t not in steps:
+                carto.moved(agent)
+    else:
+        pytest.fail("the pair neither finished nor aborted")
+    if kind == "cartography_finished":
+        assert payload["size"] == side
+        assert store.dims == (Dims(40, side) if dimension == "vertical" else None)
+    else:
+        assert kind == "cartography_aborted"
 
 
 def test_dump_map_shape():

@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from torusarena.harness import OPPONENTS, MatchConfig, run_match
-from torusarena.team import CARTOGRAPHER, DELIVERER, ORIGIN, RETRIEVER, TeamController
+from torusarena.team import DELIVERER, ORIGIN, RETRIEVER, TeamController
 from torusarena.torus import CARDINALS, add, delta, wrap
 from torusarena.world import World
 
@@ -24,16 +24,19 @@ FETCH_PHASES = ("fetch", "grab", "deliver", "orient", "connect")
 
 
 def check_group_tables(team: TeamController) -> tuple[int, int]:
-    """Each cartography pair sits under its own dimension, and each task
-    group's roles, slots and staged set agree. A retriever holding a slot is
-    in one of the fetch phases, and in orient or connect it stands cardinally
-    next to its slot cell. Returns the groups checked and the retrievers
-    checked beside their slot."""
+    """Each cartography pair sits under its own dimension, no agent walks
+    for two pairs, and a pair exists only while the grid size is unknown.
+    Each task group's roles, slots and staged set agree. A retriever holding
+    a slot is in one of the fetch phases, and in orient or connect it stands
+    cardinally next to its slot cell. Returns the groups checked and the
+    retrievers checked beside their slot."""
     rts = team.runtimes
     beside = 0
-    for dimension, state in team.carto.items():
-        assert state.dimension == dimension
-        assert all(rts[n].role == CARTOGRAPHER for n in state.pair), state.pair
+    pairs = team.cartography.pairs
+    walkers = [n for state in pairs.values() for n in state.pair]
+    assert len(walkers) == len(set(walkers)), f"an agent in two pairs: {walkers}"
+    assert not pairs or team.store.dims is None, f"pairs {list(pairs)} outlive the grid size"
+    assert all(state.dimension == dimension for dimension, state in pairs.items()), list(pairs)
     for group in team.groups:
         where = f"group {group.gid}"
         assert rts[group.origin].role == ORIGIN, where

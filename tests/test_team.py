@@ -8,7 +8,6 @@ from torusarena.team import (
     BULLY_BOUNCER,
     BULLY_HUNTER,
     BullyState,
-    CARTOGRAPHER,
     DELIVERER,
     EXPLORER,
     ORIGIN,
@@ -73,7 +72,6 @@ class TestBuildingPhase:
     def controller(self, n, capacity=15):
         names = [f"alpha{i + 1:02d}" for i in range(n)]
         team = TeamController("alpha", names, seed=1, group_capacity=capacity)
-        team.width, team.height = 40, 40
         team.store.set_dims(Dims(40, 40))
         # Pretend the whole team merged already.
         for name in names:
@@ -107,7 +105,6 @@ class TestBuildingPhase:
     def test_building_requires_full_merge(self):
         names = [f"alpha{i + 1:02d}" for i in range(15)]
         team = TeamController("alpha", names, seed=1)
-        team.width, team.height = 40, 40
         team.store.set_dims(Dims(40, 40))
         team._maybe_start_building(step=5)
         assert not team.building  # still many singleton frame groups
@@ -182,18 +179,15 @@ class TestCartographyLifecycle:
         w = self.world_pair()
         team = TeamController("alpha", ["alpha01", "alpha02"], seed=0)
         self.run_round(team, w)
-        states = {s.dimension for s in team.carto.values()}
-        assert states == {"horizontal"}
-        roles = {team.runtimes[n].role for n in team.names}
-        assert roles == {"cartographer"}
+        assert list(team.cartography.pairs) == ["horizontal"]
+        assert all(team.cartography.pair_of(n) is not None for n in team.names)
 
     def test_adoption_refused_when_dims_known(self):
         w = self.world_pair()
         team = TeamController("alpha", ["alpha01", "alpha02"], seed=0)
-        team.width, team.height = 30, 30
         team.store.set_dims(w.dims)
         self.run_round(team, w)
-        assert team.carto == {}
+        assert team.cartography.pairs == {}
 
     def test_second_pair_takes_vertical_third_none(self):
         # Distinct pair spacings, or the formations would be symmetric and
@@ -205,10 +199,10 @@ class TestCartographyLifecycle:
         )
         team = TeamController("alpha", [f"alpha{i:02d}" for i in range(1, 7)], seed=0)
         self.run_round(team, w)
-        dims_assigned = sorted({s.dimension for s in team.carto.values()})
-        assert dims_assigned == ["horizontal", "vertical"]
-        explorers = [n for n in team.names if team.runtimes[n].role == EXPLORER]
+        assert list(team.cartography.pairs) == ["horizontal", "vertical"]
+        explorers = [n for n in team.names if team.cartography.pair_of(n) is None]
         assert len(explorers) == 2  # the third pair stays exploring
+        assert {team.runtimes[n].role for n in team.names} == {EXPLORER}
 
 
     def test_degenerate_resighting_aborts_and_frees_the_dimension(self):
@@ -225,22 +219,23 @@ class TestCartographyLifecycle:
         }
         team.act(percepts, 0)
         team.act(out_of_sight, 1)
-        assert {team.runtimes[n].role for n in team.names} == {CARTOGRAPHER}
+        pair = team.cartography.pair_of("alpha01")
+        assert pair is not None and set(pair.pair) == set(team.names)
         team.drain_events()
         team.act(percepts, 2)
         kinds = [e["type"] for e in team.drain_events() if e["type"].startswith("cartography")]
         # Aborted, and the horizontal dimension is open again for adoption in
         # the same step (the same pair is the only one in sight).
         assert kinds == ["cartography_aborted", "cartography_started"]
-        assert team.width is None
-        assert {s.dimension for s in team.carto.values()} == {"horizontal"}
-        assert {team.runtimes[n].role for n in team.names} == {CARTOGRAPHER}
+        assert team.cartography.sizes == {} and team.store.dims is None
+        assert list(team.cartography.pairs) == ["horizontal"]
+        assert team.cartography.pair_of("alpha02") is not pair  # a fresh pair
+        assert set(team.cartography.pair_of("alpha02").pair) == set(team.names)
 
 
 class TestBullies:
     def hunter(self, world, name="alpha01", center=(10, 10)):
         team = TeamController("alpha", [name], seed=3)
-        team.width, team.height = world.dims
         team.store.set_dims(world.dims)
         team.building = True
         rt = team.runtimes[name]
@@ -324,7 +319,6 @@ class TestGoallessHunter:
     def act(self, obstacles):
         w = scripted_world(30, 30, {"alpha": [(10, 10)]}, obstacles=obstacles)
         team = TeamController("alpha", ["alpha01"], seed=0)
-        team.width, team.height = w.dims
         team.store.set_dims(w.dims)
         team.runtimes["alpha01"].explore_dir = "n"
         action = team.act({"alpha01": percept_of(w, "alpha01")}, 0)["alpha01"]
@@ -350,7 +344,7 @@ class TestRequirementOrdering:
     def group_with(self, reqs):
         from torusarena.team import TaskGroup
 
-        g = TaskGroup(gid=0, members=[])
+        g = TaskGroup(gid=0)
         g.active_task = Task("t", 10, 999, frozenset(reqs))
         return g
 
@@ -400,7 +394,6 @@ def test_failed_accept_is_not_counted_as_accepted():
         30, 30, {"alpha": [(5, 5), (20, 20)]}, tasks=[(0, "t1", 10, 200, [((0, 1), "b1")])]
     )
     team = TeamController("alpha", ["alpha01", "alpha02"], seed=0)
-    team.width, team.height = 30, 30
     team.store.set_dims(world.dims)
     team.building = True
     percepts = world.percepts(team.names)
@@ -408,7 +401,6 @@ def test_failed_accept_is_not_counted_as_accepted():
     team.groups = [
         TaskGroup(
             gid=0,
-            members=["alpha01", "alpha02"],
             origin="alpha01",
             deliverer="alpha02",
             goal_cluster=[(3, 3)],
