@@ -9,7 +9,8 @@ shared protocol engine, one serialized instance per sighting.
 
 `Cartography` owns the cartographer pairs (at most one per dimension) and
 the sides they measured; when the second side is measured it hands the grid
-size to `MapStore.set_dims`, and `MapStore.dims` is the one copy of it.
+size to `MapStore.set_dims`, its one writer (which also stamps it on every
+agent's `LocalMap`).
 """
 
 from __future__ import annotations

@@ -308,15 +308,17 @@ class Navigator:
     cycle_attempted: int = 0
     cycle_succeeded: int = 0
     failed_cycles: int = 0
-    stuck: bool = False
     last_token: Optional[str] = None
+
+    @property
+    def stuck(self) -> bool:
+        return self.failed_cycles >= STUCK_CYCLES
 
     def set_destination(self, dest: Coord) -> None:
         if dest != self.destination:
             self.destination = dest
             self._reset_plan()
             self.failed_cycles = 0
-            self.stuck = False
 
     def _reset_plan(self) -> None:
         self.plan = []
@@ -354,22 +356,17 @@ class Navigator:
     def _close_cycle(self) -> None:
         if self.plan:
             if self.cycle_attempted > 0 and self.cycle_succeeded == 0:
-                self._fail_cycle()
+                self.failed_cycles += 1
             else:
                 self.failed_cycles = 0
-                self.stuck = False
         self.cycle_attempted = 0
         self.cycle_succeeded = 0
-
-    def _fail_cycle(self) -> None:
-        self.failed_cycles += 1
-        self.stuck = self.failed_cycles >= STUCK_CYCLES
 
     def _replan(self, percept: Percept, self_pos: Coord, dims: Dims) -> bool:
         self.plan, self.index = [], 0
         good = select_good_cell(percept, self.destination, self_pos, dims)
         if good is None:
-            self._fail_cycle()
+            self.failed_cycles += 1
             return False
         try:
             problem = build_problem(percept, good)
@@ -377,7 +374,7 @@ class Navigator:
             return False
         plan = self.solve_fn(problem)
         if not plan:
-            self._fail_cycle()
+            self.failed_cycles += 1
             return False
         self.plan = list(plan)
         return True

@@ -9,12 +9,13 @@ The controller is the in-process stand-in for the team's message fabric:
 identification replies, merge reports and group signals all resolve between
 steps, and every per-agent decision reads only that agent's percept plus the
 shared blackboard (maps, group table, cartography pairs). The grid size has
-one copy, `MapStore.dims`.
+one writer, `MapStore.set_dims`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -142,7 +143,7 @@ class TaskGroup:
 @dataclass
 class AgentRuntime:
     name: str
-    role: str = EXPLORER
+    role: str = EXPLORER  # outside a group only: explorer, bouncer or hunter
     navigator: Optional[Navigator] = None
     explore_dir: str = "n"
     sidestep_dir: Optional[str] = None
@@ -151,7 +152,7 @@ class AgentRuntime:
     last_action: Optional[Action] = None
     bully: Optional[BullyState] = None
     fetch: Optional[RetrieverTask] = None
-    group: Optional[int] = None
+    group: Optional[int] = None  # set for the members of a TaskGroup only
     accepted_tasks: set[str] = field(default_factory=set)
     stuck_reported: bool = False
 
@@ -217,6 +218,19 @@ class TeamController:
     def position_of(self, name: str) -> Coord:
         return self.store.position_of(name)
 
+    def role_of(self, name: str) -> str:
+        """A group member's role is its place in its group; any other
+        agent's is `AgentRuntime.role`."""
+        rt = self.runtimes[name]
+        if rt.group is None:
+            return rt.role
+        group = self.groups[rt.group]
+        if name == group.origin:
+            return ORIGIN
+        if name == group.deliverer:
+            return DELIVERER
+        return RETRIEVER
+
     # ------------------------------------------------------------ main loop
 
     def act(self, percepts: dict[str, Percept], step: int) -> dict[str, Action]:
@@ -232,8 +246,8 @@ class TeamController:
         explorer_pairs = (
             (fwd, back)
             for fwd, back in pairs
-            if self.runtimes[fwd.observer].role == EXPLORER
-            and self.runtimes[fwd.observed].role == EXPLORER
+            if self.role_of(fwd.observer) == EXPLORER
+            and self.role_of(fwd.observed) == EXPLORER
         )
         for kind, payload in self.cartography.update(idents, explorer_pairs, step):
             self._emit(step, kind, **payload)
@@ -310,39 +324,30 @@ class TeamController:
             return
         self.building = True
         n_groups, leftovers = form_groups(len(self.names), self.group_capacity)
-        census: dict[str, int] = {}
+        self.groups = [TaskGroup(gid=gid) for gid in range(n_groups)]
         for i, name in enumerate(self.names):
             rt = self.runtimes[name]
             gid, slot = divmod(i, self.group_capacity)
-            if gid < n_groups:
-                rt.role = role_for_slot(slot)
-                rt.group = gid
-            else:
-                rt.role = BULLY_HUNTER
-                rt.group = None
-            if rt.role == BULLY_HUNTER:
+            role = role_for_slot(slot) if gid < n_groups else BULLY_HUNTER
+            if role == BULLY_HUNTER:
+                rt.role = role
                 rt.bully = BullyState()
-            census[rt.role] = census.get(rt.role, 0) + 1
-        self.groups = []
-        for gid in range(n_groups):
-            members = self.names[gid * self.group_capacity : (gid + 1) * self.group_capacity]
-            group = TaskGroup(gid=gid)
-            for m in members:
-                role = self.runtimes[m].role
-                if role == ORIGIN:
-                    group.origin = m
-                elif role == DELIVERER:
-                    group.deliverer = m
-                elif role == RETRIEVER:
-                    group.retrievers.append(m)
-            self.groups.append(group)
+                continue
+            rt.group = gid
+            group = self.groups[gid]
+            if role == ORIGIN:
+                group.origin = name
+            elif role == DELIVERER:
+                group.deliverer = name
+            else:
+                group.retrievers.append(name)
         self._assign_clusters()
         self._emit(
             step,
             "building_started",
             groups=n_groups,
             leftover_bullies=leftovers,
-            census=census,
+            census=dict(Counter(map(self.role_of, self.names))),
         )
 
     def goal_clusters(self) -> list[list[Coord]]:
@@ -499,21 +504,15 @@ class TeamController:
         return self.position_of(group.deliverer) in waits
 
     def _rotate_roles(self, group: TaskGroup, step: int) -> None:
-        old_origin, old_deliverer = group.origin, group.deliverer
-        group.origin = old_deliverer
-        self.runtimes[old_deliverer].role = ORIGIN
-        self.runtimes[old_origin].role = RETRIEVER
-        if old_origin not in group.retrievers:
-            group.retrievers.append(old_origin)
-        if group.next_deliverer is not None and group.next_deliverer in group.retrievers:
-            group.deliverer = group.next_deliverer
-            group.retrievers.remove(group.next_deliverer)
-            self.runtimes[group.next_deliverer].role = DELIVERER
-            self.runtimes[group.next_deliverer].fetch = None
-        else:
-            group.deliverer = old_origin
-            group.retrievers.remove(old_origin)
-            self.runtimes[old_origin].role = DELIVERER
+        """After a submit the deliverer becomes the origin, the first
+        retriever to connect a block (a submit needs one) the deliverer, and
+        the old origin a retriever."""
+        old_origin = group.origin
+        group.origin = group.deliverer
+        group.deliverer = group.next_deliverer
+        group.retrievers.remove(group.next_deliverer)
+        group.retrievers.append(old_origin)
+        self.runtimes[group.deliverer].fetch = None
         group.next_deliverer = None
         self._reset_assembly(group)
         self._emit(
@@ -530,13 +529,14 @@ class TeamController:
         pair = self.cartography.pair_of(rt.name)
         if pair is not None:
             return cartographer_action(pair, rt.name, percept)
-        if rt.role in (BULLY_BOUNCER, BULLY_HUNTER):
+        role = self.role_of(rt.name)
+        if role in (BULLY_BOUNCER, BULLY_HUNTER):
             return self._bully_policy(rt, percept, step)
-        if rt.role == ORIGIN:
+        if role == ORIGIN:
             return self._origin_policy(rt, percept, step)
-        if rt.role == DELIVERER:
+        if role == DELIVERER:
             return self._deliverer_policy(rt, percept, step)
-        if rt.role == RETRIEVER:
+        if role == RETRIEVER:
             return self._retriever_policy(rt, percept)
         return self._explorer_policy(rt, percept, step)
 

@@ -199,25 +199,19 @@ class WorldConfigError(ValueError):
 
 
 @dataclass
-class Block:
-    type: str
-    holder: Optional[str] = None
-
-
-@dataclass
 class AgentState:
     name: str
     team: str
     pos: Coord
     energy: int
-    held: set[Coord] = field(default_factory=set)
+    held: set[Coord] = field(default_factory=set)  # the one record of who holds a block
     disabled_until: int = 0
     clear_charge: Optional[tuple[Coord, int]] = None
     accepted: set[str] = field(default_factory=set)
     last_result: Optional[tuple[str, str]] = None
 
     def attached_offsets(self, world: "World") -> list[tuple[Offset, str]]:
-        out = [(delta(self.pos, c, world.dims), world.blocks[c].type) for c in self.held]
+        out = [(delta(self.pos, c, world.dims), world.blocks[c]) for c in self.held]
         out.sort()
         return out
 
@@ -235,7 +229,7 @@ class World:
         self.terrain: dict[Coord, str] = {}
         self.dispensers: dict[Coord, str] = {}
         self.taskboards: set[Coord] = set()
-        self.blocks: dict[Coord, Block] = {}
+        self.blocks: dict[Coord, str] = {}  # cell -> block type
         self.links: set[frozenset[Coord]] = set()
         self.agents: dict[str, AgentState] = {}
         # Occupant index: cell -> the agent standing there. Written only by
@@ -428,7 +422,7 @@ class World:
             dx, dy = off
             cell = ((px + dx) % w, (py + dy) % h)
             if cell in blocks:
-                things.append(Thing(off, "block", blocks[cell].type))
+                things.append(Thing(off, "block", blocks[cell]))
             if cell in dispensers:
                 things.append(Thing(off, "dispenser", dispensers[cell]))
             # Test the offset, not the agent: on a side of at most
@@ -633,22 +627,20 @@ class World:
         cell = wrap(*add(agent.pos, DIR_OFFSETS[act.direction]), self.dims)
         if cell not in self.blocks:
             return "failed:no_block"
-        holder = self.blocks[cell].holder
-        if holder == agent.name:
+        holder = self._holder_of(cell)
+        if holder is agent:
             return "failed:already_attached"
         if holder is not None:
-            other = self.agents[holder]
-            return "failed:enemy_attached" if other.team != agent.team else "failed:held"
-        comp = self._linked((cell,))
-        for c in comp:
-            self.blocks[c].holder = agent.name
-        agent.held |= comp
+            return "failed:enemy_attached" if holder.team != agent.team else "failed:held"
+        agent.held |= self._linked((cell,))
         return "success"
 
-    def _release(self, agent: AgentState, cells: Iterable[Coord]) -> None:
-        for c in cells:
-            self.blocks[c].holder = None
-            agent.held.discard(c)
+    def _holder_of(self, cell: Coord) -> Optional[AgentState]:
+        """The agent whose `held` has the cell, if any."""
+        for agent in self.agents.values():
+            if cell in agent.held:
+                return agent
+        return None
 
     def _reachable_held(self, agent: AgentState, severed: Optional[Coord] = None) -> set[Coord]:
         roots = {
@@ -664,8 +656,7 @@ class World:
         cell = wrap(*add(agent.pos, DIR_OFFSETS[act.direction]), self.dims)
         if cell not in agent.held:
             return "failed:no_block"
-        keep = self._reachable_held(agent, severed=cell)
-        self._release(agent, agent.held - keep)
+        agent.held = self._reachable_held(agent, severed=cell)
         return "success"
 
     def _do_connect(self, agent: AgentState, act: Action) -> str:
@@ -688,7 +679,6 @@ class World:
         if not adjacent_to_partner and not adjacent_blocks:
             return "failed:not_adjacent"
         agent.held.discard(cell)
-        self.blocks[cell].holder = partner.name
         partner.held.add(cell)
         for b in adjacent_blocks:
             self.links.add(frozenset((cell, b)))
@@ -702,7 +692,7 @@ class World:
             return "failed:no_dispenser"
         if cell in self.blocks or self._agent_at(cell) is not None:
             return "failed:blocked"
-        self.blocks[cell] = Block(self.dispensers[cell])
+        self.blocks[cell] = self.dispensers[cell]
         return "success"
 
     def _task_active(self, name: Optional[str]) -> Optional[Task]:
@@ -733,7 +723,7 @@ class World:
         if self.terrain[agent.pos] != GOAL:
             return "failed:not_on_goal"
         held = frozenset(
-            (delta(agent.pos, c, self.dims), self.blocks[c].type) for c in agent.held
+            (delta(agent.pos, c, self.dims), self.blocks[c]) for c in agent.held
         )
         if held != task.requirements:
             return "failed:requirements_mismatch"
@@ -789,13 +779,12 @@ class World:
     # ----------------------------------------------------------- clear plumbing
 
     def _remove_block(self, cell: Coord) -> None:
-        block = self.blocks.pop(cell)
+        holder = self._holder_of(cell)
+        del self.blocks[cell]
         self.links = {l for l in self.links if cell not in l}
-        if block.holder is not None:
-            holder = self.agents[block.holder]
+        if holder is not None:
             holder.held.discard(cell)
-            keep = self._reachable_held(holder)
-            self._release(holder, holder.held - keep)
+            holder.held = self._reachable_held(holder)
 
     def _clear_cell(self, cell: Coord) -> list[str]:
         removed = []
@@ -808,7 +797,7 @@ class World:
         victim = self._agent_at(cell)
         if victim is not None:
             victim.disabled_until = self.step_num + 1 + DISABLE_DURATION
-            self._release(victim, set(victim.held))
+            victim.held.clear()
             removed.append("agent_disabled")
         return removed
 
@@ -840,13 +829,13 @@ class World:
             assert a.pos not in seen, f"two agents on {a.pos}"
             seen[a.pos] = a.name
             assert a.pos not in self.blocks, f"{a.name} shares a cell with a block"
-        for c, b in self.blocks.items():
+        for c in self.blocks:
             assert self.terrain[c] != OBSTACLE
-            if b.holder is not None:
-                assert c in self.agents[b.holder].held
+        held: set[Coord] = set()
         for a in self.agents.values():
-            for c in a.held:
-                assert self.blocks[c].holder == a.name
+            assert held.isdisjoint(a.held), f"{a.name} holds a cell another agent holds"
+            held |= a.held
+            assert a.held <= self.blocks.keys(), f"{a.name} holds a cell without a block"
             if a.held:
                 assert a.held == self._reachable_held(a), f"{a.name} holds a detached block"
         for link in self.links:

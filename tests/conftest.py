@@ -1,5 +1,5 @@
 """Shared scenario builders for the test suite, and the benchmark's plan
-checker as the suite's plan-legality oracle."""
+checkers as the suite's plan-legality and optimality oracles."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +23,21 @@ def check_plan(problem, plan):
     written independently of the planner; returns the plan's length and
     raises checkers.CheckFailed on an illegal step or a missed goal."""
     return checkers.check_plan(checkers.PlanProblem.from_problem(problem), plan)
+
+
+def check_optimal(problem, plan):
+    """Compare the plan's length with an independent uniform-cost optimum;
+    returns 'optimal' or 'unreachable' (an empty plan proved right), raises
+    checkers.CheckFailed on a longer, shorter or missing plan, and fails
+    when the search exceeds its budget."""
+    outcome = checkers.check_optimal(checkers.PlanProblem.from_problem(problem), plan)
+    assert outcome != "unverified", "the optimality search exceeded its budget"
+    return outcome
+
+
+def optimal_cost(problem):
+    """Least number of actions onto the goal, None when unreachable."""
+    return checkers.optimal_cost(checkers.PlanProblem.from_problem(problem))
 
 
 def scripted_world(

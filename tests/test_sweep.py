@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from torusarena.harness import OPPONENTS, MatchConfig, run_match
-from torusarena.team import DELIVERER, ORIGIN, RETRIEVER, TeamController
+from torusarena.team import TeamController
 from torusarena.torus import CARDINALS, add, delta, wrap
 from torusarena.world import World
 
@@ -26,7 +26,9 @@ FETCH_PHASES = ("fetch", "grab", "deliver", "orient", "connect")
 def check_group_tables(team: TeamController) -> tuple[int, int]:
     """Each cartography pair sits under its own dimension, no agent walks
     for two pairs, and a pair exists only while the grid size is unknown.
-    Each task group's roles, slots and staged set agree. A retriever holding
+    Origins, deliverers and retrievers are distinct names across all
+    groups, exactly those agents name a group, and each group's slots and
+    staged set agree. A retriever holding
     a slot is in one of the fetch phases, and in orient or connect it stands
     cardinally next to its slot cell. Returns the groups checked and the
     retrievers checked beside their slot."""
@@ -37,11 +39,14 @@ def check_group_tables(team: TeamController) -> tuple[int, int]:
     assert len(walkers) == len(set(walkers)), f"an agent in two pairs: {walkers}"
     assert not pairs or team.store.dims is None, f"pairs {list(pairs)} outlive the grid size"
     assert all(state.dimension == dimension for dimension, state in pairs.items()), list(pairs)
+    members = {}
+    for group in team.groups:
+        for name in (group.origin, group.deliverer, *group.retrievers):
+            assert name not in members, f"{name} is in group {members.get(name)} and {group.gid}"
+            members[name] = group.gid
+    assert {n: rt.group for n, rt in rts.items() if rt.group is not None} == members
     for group in team.groups:
         where = f"group {group.gid}"
-        assert rts[group.origin].role == ORIGIN, where
-        assert rts[group.deliverer].role == DELIVERER, where
-        assert all(rts[r].role == RETRIEVER for r in group.retrievers), where
         slots = [rts[r].fetch.slot for r in group.retrievers if rts[r].fetch is not None]
         assert len(slots) == len(set(slots)), f"{where}: a slot held twice: {sorted(slots)}"
         if group.active_task is None:

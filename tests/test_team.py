@@ -86,7 +86,7 @@ class TestBuildingPhase:
         g = team.groups[0]
         assert g.origin and g.deliverer
         assert len(g.retrievers) == 12
-        roles = [team.runtimes[n].role for n in team.names]
+        roles = [team.role_of(n) for n in team.names]
         assert roles.count(ORIGIN) == 1
         assert roles.count(DELIVERER) == 1
         assert roles.count(RETRIEVER) == 12
@@ -96,9 +96,10 @@ class TestBuildingPhase:
         team = self.controller(50)
         team._maybe_start_building(step=5)
         assert len(team.groups) == 3
-        hunters = [n for n in team.names if team.runtimes[n].role == BULLY_HUNTER]
-        groupless = [n for n in hunters if team.runtimes[n].group is None]
-        assert len(groupless) == 5
+        hunters = [n for n in team.names if team.role_of(n) == BULLY_HUNTER]
+        # Slot 14 of each group and the five leftovers; no hunter is a member.
+        assert hunters == team.names[14:45:15] + team.names[45:]
+        assert all(team.runtimes[n].group is None for n in hunters)
         event = [e for e in team.events if e["type"] == "building_started"][0]
         assert event["groups"] == 3 and event["leftover_bullies"] == 5
 
@@ -202,7 +203,7 @@ class TestCartographyLifecycle:
         assert list(team.cartography.pairs) == ["horizontal", "vertical"]
         explorers = [n for n in team.names if team.cartography.pair_of(n) is None]
         assert len(explorers) == 2  # the third pair stays exploring
-        assert {team.runtimes[n].role for n in team.names} == {EXPLORER}
+        assert {team.role_of(n) for n in team.names} == {EXPLORER}
 
 
     def test_degenerate_resighting_aborts_and_frees_the_dimension(self):
@@ -290,7 +291,7 @@ class TestBullies:
         for step in range(3):
             acts = team.act({"alpha01": percepts["alpha01"]}, step)
             percepts, _ = w.step(acts, ["alpha01"])
-        assert team.runtimes["alpha01"].role == BULLY_BOUNCER
+        assert team.role_of("alpha01") == BULLY_BOUNCER
         assert team.bouncer_count == 1
 
     def test_bully_charges_visible_enemy_block(self):
@@ -323,7 +324,7 @@ class TestGoallessHunter:
         team.runtimes["alpha01"].explore_dir = "n"
         action = team.act({"alpha01": percept_of(w, "alpha01")}, 0)["alpha01"]
         rt = team.runtimes["alpha01"]
-        assert team.building and rt.role == BULLY_HUNTER and rt.bully.patrol_center is None
+        assert team.building and team.role_of("alpha01") == BULLY_HUNTER and rt.bully.patrol_center is None
         return action
 
     def test_moves_along_the_exploration_direction(self):
@@ -409,8 +410,7 @@ def test_failed_accept_is_not_counted_as_accepted():
             active_task=task,
         )
     ]
-    for name, role in (("alpha01", ORIGIN), ("alpha02", DELIVERER)):
-        team.runtimes[name].role = role
+    for name in ("alpha01", "alpha02"):
         team.runtimes[name].group = 0
     deliverer = team.runtimes["alpha02"]
     for step in range(2):

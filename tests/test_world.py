@@ -219,7 +219,7 @@ class TestBlocksAndTasks:
         w.step({"alpha01": Action.request("e")}, ())
         assert (4, 3) in w.blocks
         w.step({"alpha01": Action.attach("e")}, ())
-        assert w.blocks[(4, 3)].holder == "alpha01"
+        assert w._holder_of((4, 3)) is w.agents["alpha01"]
         w.step({"alpha01": Action.rotate("cw")}, ())  # block east -> south
         assert (3, 4) in w.blocks
         w.step({"alpha01": Action.move("s")}, ())
@@ -283,7 +283,7 @@ class TestBlocksAndTasks:
         # Detaching south releases the whole linked chain to the ground.
         w.step({"alpha01": Action.detach("s")}, ())
         assert w.agents["alpha01"].held == set()
-        assert w.blocks[(3, 4)].holder is None and w.blocks[(3, 5)].holder is None
+        assert w._holder_of((3, 4)) is None and w._holder_of((3, 5)) is None
         # Re-attaching grabs the component back through the surviving link.
         w.step({"alpha01": Action.attach("s")}, ())
         assert w.agents["alpha01"].held == {(3, 4), (3, 5)}
@@ -469,7 +469,7 @@ def reference_percept(world, name):
                 Thing(off, "entity", a.team) for a in world.agents.values() if a.pos == cell
             )
         if cell in world.blocks:
-            things.append(Thing(off, "block", world.blocks[cell].type))
+            things.append(Thing(off, "block", world.blocks[cell]))
         if cell in world.dispensers:
             things.append(Thing(off, "dispenser", world.dispensers[cell]))
         if world.terrain[cell] != "empty":

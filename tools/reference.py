@@ -3,6 +3,7 @@
 
     python3 tools/reference.py digests --base REV
     python3 tools/reference.py play --cache-dir DIR
+    python3 tools/reference.py unrun [--tests]
 
 `digests` exports REV (`git archive`) and plays the reference set on it and
 on the working tree's `src`, once under each PYTHONHASHSEED in HASH_SEEDS,
@@ -15,6 +16,12 @@ between the trees or between hash seeds.
 `play` plays the set on the `torusarena` that PYTHONPATH finds, with the
 dense-cache matches sharing the fresh directory DIR, and prints one JSON
 object mapping each match's name to its full log digest.
+
+`unrun` plays the set on the working tree's `src` under a `sys.settrace`
+line tracer (with `--tests`, runs the tier-1 suite under it as well) and
+prints, per function, the `src/` lines that hold bytecode but never ran. A
+function's lines stop being traced once all of them have run, so the cost
+falls on the functions that keep an unrun line.
 
 The reference set:
 - match-r3: preset r3, greedy-courier, 100 steps, seeds 0 and 1;
@@ -29,11 +36,14 @@ The reference set:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import types
+from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -132,6 +142,103 @@ def cmd_digests(args) -> int:
     return 0 if same else 1
 
 
+def own_lines(code: types.CodeType) -> set[int]:
+    """Lines that hold bytecode of `code` itself. A function's or class
+    body's first line is left out: the enclosing scope runs it."""
+    lines = {line for _start, _end, line in code.co_lines() if line}
+    if code.co_name != "<module>":
+        lines.discard(code.co_firstlineno)
+    return lines
+
+
+def executable_lines(path: Path) -> dict[int, str]:
+    """Each line of the file that holds bytecode, mapped to the outermost
+    function or class body it belongs to (comprehensions, lambdas and
+    nested functions count with their enclosing function)."""
+    out: dict[int, str] = {}
+    stack = [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        owner = getattr(code, "co_qualname", code.co_name).split(".<locals>")[0]
+        for line in own_lines(code):
+            out.setdefault(line, owner)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return out
+
+
+class LineTracer:
+    """A `sys.settrace` function that records, per file under `prefix`, the
+    lines that ran. Each code object is traced only while it has a line
+    left that has not run."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.ran: dict[str, set[int]] = defaultdict(set)
+        self._tracers: dict[types.CodeType, object] = {}
+
+    def __call__(self, frame, event, arg):
+        code = frame.f_code
+        try:
+            return self._tracers[code]
+        except KeyError:
+            tracer = self._tracers[code] = self._tracer_for(code)
+            return tracer
+
+    def _tracer_for(self, code: types.CodeType):
+        if not code.co_filename.startswith(self.prefix):
+            return None
+        ran = self.ran[code.co_filename]
+        left = own_lines(code) - ran
+        if not left:
+            return None
+        tracers = self._tracers
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                line = frame.f_lineno
+                ran.add(line)
+                left.discard(line)
+                if not left:
+                    tracers[code] = None
+            return on_line
+
+        return on_line
+
+
+def cmd_unrun(args) -> int:
+    src = ROOT / "src"
+    tracer = LineTracer(str(src) + os.sep)
+    sys.path.insert(0, str(src))
+    sys.settrace(tracer)
+    try:
+        from torusarena import harness
+
+        with tempfile.TemporaryDirectory(prefix="unrun_") as cache_dir:
+            for name, config in reference_set(harness, cache_dir):
+                print(f"unrun: playing {name}", file=sys.stderr)
+                harness.run_match(config)
+        if args.tests:
+            import pytest
+
+            print("unrun: running the tier-1 suite", file=sys.stderr)
+            os.chdir(ROOT)
+            with contextlib.redirect_stdout(sys.stderr):
+                pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"])
+    finally:
+        sys.settrace(None)
+    total = 0
+    for path in sorted(src.rglob("*.py")):
+        owners = executable_lines(path)
+        unrun: dict[str, list[int]] = defaultdict(list)
+        for line in sorted(owners.keys() - tracer.ran[str(path)]):
+            unrun[owners[line]].append(line)
+        for owner, lines in unrun.items():
+            total += len(lines)
+            print(f"{path.relative_to(src)} {owner}: {', '.join(map(str, lines))}")
+    print(f"{total} lines never ran")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -141,6 +248,9 @@ def main() -> int:
     p_play = sub.add_parser("play", help="print the reference digests of the importable tree")
     p_play.add_argument("--cache-dir", required=True, help="fresh directory for the dense-cache plans")
     p_play.set_defaults(fn=cmd_play)
+    p_unrun = sub.add_parser("unrun", help="list the src lines the reference set never runs")
+    p_unrun.add_argument("--tests", action="store_true", help="also run the tier-1 suite")
+    p_unrun.set_defaults(fn=cmd_unrun)
     args = ap.parse_args()
     return args.fn(args)
 
