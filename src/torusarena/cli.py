@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    OPPONENTS,
     PRESETS,
     MatchConfig,
     MatchConfigError,
@@ -44,9 +45,7 @@ def _add_match_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--team-size", type=int, default=None)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--cache-readonly", action="store_true")
-    p.add_argument(
-        "--opponent", choices=["idle", "random-walk", "greedy-courier"], default="idle"
-    )
+    p.add_argument("--opponent", choices=list(OPPONENTS), default="idle")
     p.add_argument("--log", default=None, metavar="PATH")
 
 

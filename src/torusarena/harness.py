@@ -47,7 +47,7 @@ class MatchConfig:
     team_size: int = 15
     steps: int = 300
     seed: int = 0
-    opponent: str = "idle"  # idle | random-walk | greedy-courier
+    opponent: str = "idle"  # a key of OPPONENTS
     cache_dir: Optional[str] = None
     cache_readonly: bool = False
     obstacle_density: float = 0.05
@@ -69,10 +69,12 @@ class MatchConfig:
             problems.append(f"team_size: must be positive, got {self.team_size}")
         if self.steps < 1:
             problems.append(f"steps: must be positive, got {self.steps}")
-        if self.opponent not in ("idle", "random-walk", "greedy-courier"):
+        if self.opponent not in OPPONENTS:
             problems.append(f"opponent: unknown policy {self.opponent!r}")
         if not (0.0 <= self.obstacle_density <= 0.5):
             problems.append("obstacle_density: must be within [0, 0.5]")
+        if self.group_capacity < 1:
+            problems.append(f"group_capacity: must be positive, got {self.group_capacity}")
         if problems:
             raise MatchConfigError("; ".join(problems))
 

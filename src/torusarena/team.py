@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .identity import identification_round, mutual_pairs
 from .mapping import Cartography, MapStore, cartographer_action, nearest, record_statics
@@ -193,7 +193,7 @@ class TeamController:
             plan, outcome = self._counted_solve(problem), "solve"
         else:
             plan, outcome = solve_cached(problem, self.cache, self._counted_solve)
-        self._emit(self._step, "plan", outcome=outcome)
+        self._emit("plan", outcome=outcome)
         return plan
 
     def _counted_solve(self, problem: Problem) -> Plan:
@@ -207,8 +207,9 @@ class TeamController:
         rt.navigator.set_destination(destination)
         return rt.navigator.next_action(percept, pos, self.store.dims)
 
-    def _emit(self, step: int, kind: str, **payload) -> None:
-        self.events.append({"step": step, "type": kind, "team": self.team, **payload})
+    def _emit(self, kind: str, **payload) -> None:
+        """Record a team event, stamped with the step being acted on."""
+        self.events.append({"step": self._step, "type": kind, "team": self.team, **payload})
 
     def drain_events(self) -> list[dict]:
         out = self.events
@@ -240,7 +241,7 @@ class TeamController:
             record_statics(self.store.maps[name], percepts[name])
         idents, _stats = identification_round(self.team, percepts, step)
         if idents:
-            self._emit(step, "identification", count=len(idents))
+            self._emit("identification", count=len(idents))
         pairs = mutual_pairs(idents)
         # Lazy: adoption reads it only until no side is left open.
         explorer_pairs = (
@@ -250,20 +251,20 @@ class TeamController:
             and self.role_of(fwd.observed) == EXPLORER
         )
         for kind, payload in self.cartography.update(idents, explorer_pairs, step):
-            self._emit(step, kind, **payload)
-        self._merges(pairs, step)
-        self._maybe_start_building(step)
-        self._group_coordination(percepts, step)
+            self._emit(kind, **payload)
+        self._merges(pairs)
+        self._maybe_start_building()
+        self._group_coordination(percepts)
         actions: dict[str, Action] = {}
         for name in self.names:
             rt = self.runtimes[name]
-            action = self._policy(rt, percepts[name], step)
+            action = self._policy(rt, percepts[name])
             rt.last_action = action
             actions[name] = action
             nav = rt.navigator
             if nav is not None and nav.stuck and not rt.stuck_reported:
                 rt.stuck_reported = True
-                self._emit(step, "stuck", agent=name)
+                self._emit("stuck", agent=name)
             elif nav is not None and not nav.stuck:
                 rt.stuck_reported = False
         return actions
@@ -289,7 +290,7 @@ class TeamController:
 
     # ---------------------------------------------------------------- merges
 
-    def _merges(self, pairs, step: int) -> None:
+    def _merges(self, pairs) -> None:
         leader_of = self.store.leader_of
         # Most pairs are already in one group; build sightings only for the rest.
         sightings = [
@@ -305,7 +306,6 @@ class TeamController:
         ]
         for record in self.store.process_merges(sightings):
             self._emit(
-                step,
                 "merge",
                 a=record.sighting.a,
                 b=record.sighting.b,
@@ -316,7 +316,7 @@ class TeamController:
 
     # -------------------------------------------------------- group formation
 
-    def _maybe_start_building(self, step: int) -> None:
+    def _maybe_start_building(self) -> None:
         if self.building or self.store.dims is None:
             return
         leaders = {self.store.leader_of(n) for n in self.names}
@@ -343,7 +343,6 @@ class TeamController:
                 group.retrievers.append(name)
         self._assign_clusters()
         self._emit(
-            step,
             "building_started",
             groups=n_groups,
             leftover_bullies=leftovers,
@@ -386,10 +385,10 @@ class TeamController:
 
     # ------------------------------------------------------ group coordination
 
-    def _group_coordination(self, percepts: dict[str, Percept], step: int) -> None:
+    def _group_coordination(self, percepts: dict[str, Percept]) -> None:
+        if any(not group.goal_cluster for group in self.groups):
+            self._assign_clusters()  # gives every group a cluster, or none
         for group in self.groups:
-            if not group.goal_cluster:
-                self._assign_clusters()
             # Ready for a task: the origin on the anchor and the deliverer in
             # accept range of the taskboard, judged before the swap can
             # rotate roles this step.
@@ -401,10 +400,10 @@ class TeamController:
                 and torus_distance(self.position_of(group.deliverer), group.taskboard, self.store.dims)
                 <= ACCEPT_RADIUS
             )
-            self._note_connect_results(group, percepts, step)
-            self._update_swap(group, percepts, step)
-            self._reassign_stalled(group, step)
-            self._update_task(group, percepts, step, ready)
+            self._note_connect_results(group, percepts)
+            self._update_swap(group, percepts)
+            self._reassign_stalled(group)
+            self._update_task(group, percepts, ready)
 
     def _slot_owners(self, group: TaskGroup) -> list[str]:
         """The group's retrievers that hold a slot, in slot order: a slot's
@@ -412,7 +411,7 @@ class TeamController:
         owners = [r for r in group.retrievers if self.runtimes[r].fetch is not None]
         return sorted(owners, key=lambda r: self.runtimes[r].fetch.slot)
 
-    def _note_connect_results(self, group: TaskGroup, percepts, step: int) -> None:
+    def _note_connect_results(self, group: TaskGroup, percepts) -> None:
         for name in self._slot_owners(group):
             rt = self.runtimes[name]
             if (
@@ -422,10 +421,10 @@ class TeamController:
                 group.staged.add(rt.fetch.slot)
                 if group.next_deliverer is None:
                     group.next_deliverer = name
-                    self._emit(step, "next_deliverer", group=group.gid, agent=name)
+                    self._emit("next_deliverer", group=group.gid, agent=name)
                 rt.fetch = None
 
-    def _reassign_stalled(self, group: TaskGroup, step: int) -> None:
+    def _reassign_stalled(self, group: TaskGroup) -> None:
         for name in self._slot_owners(group):
             rt = self.runtimes[name]
             if rt.fetch.stall < STALL_REASSIGN:
@@ -443,14 +442,14 @@ class TeamController:
             self.runtimes[idle[0]].fetch = RetrieverTask(
                 slot=spec.slot, offset=spec.offset, block_type=spec.block_type
             )
-            self._emit(step, "slot_reassigned", group=group.gid, slot=spec.slot, agent=idle[0])
+            self._emit("slot_reassigned", group=group.gid, slot=spec.slot, agent=idle[0])
 
-    def _update_task(self, group: TaskGroup, percepts, step: int, ready: bool) -> None:
+    def _update_task(self, group: TaskGroup, percepts, ready: bool) -> None:
         if group.active_task is not None:
             # Drop expired tasks and restage.
             visible = {t.name for t in percepts[self.names[0]].tasks}
             if group.active_task.name not in visible:
-                self._emit(step, "task_dropped", group=group.gid, task=group.active_task.name)
+                self._emit("task_dropped", group=group.gid, task=group.active_task.name)
                 self._reset_assembly(group)
             return
         if not ready:
@@ -458,12 +457,12 @@ class TeamController:
         view = self.store.merged_view(self.names[0])
         retrievable = {t for _c, t in view.dispensers}
         choice = select_task(
-            percepts[group.deliverer].tasks, retrievable, step, len(group.retrievers)
+            percepts[group.deliverer].tasks, retrievable, self._step, len(group.retrievers)
         )
         if choice is not None:
             group.active_task = choice
             self._assign_slots(group)
-            self._emit(step, "task_selected", group=group.gid, task=choice.name)
+            self._emit("task_selected", group=group.gid, task=choice.name)
 
     def _assign_slots(self, group: TaskGroup) -> None:
         group.staged = set()
@@ -480,7 +479,7 @@ class TeamController:
         for name in group.retrievers:
             self.runtimes[name].fetch = None
 
-    def _update_swap(self, group: TaskGroup, percepts, step: int) -> None:
+    def _update_swap(self, group: TaskGroup, percepts) -> None:
         """The one place the swap changes phase, each time on a fact the world
         confirmed: the origin's detach, the deliverer standing on the anchor,
         the deliverer's attach, its submit."""
@@ -495,15 +494,17 @@ class TeamController:
         if group.swap_phase == "entered" and deliverer_result == ("attach", "success"):
             group.swap_phase = "attached"
         if deliverer_result == ("submit", "success"):
-            self._emit(step, "task_submitted", group=group.gid, task=group.active_task.name)
-            self._rotate_roles(group, step)
+            self._emit("task_submitted", group=group.gid, task=group.active_task.name)
+            self._rotate_roles(group)
+
+    def _wait_cells(self, group: TaskGroup) -> list[Coord]:
+        d = self.store.dims
+        return [wrap(*add(group.anchor, off), d) for off in WAIT_OFFSETS]
 
     def _deliverer_in_place(self, group: TaskGroup) -> bool:
-        d = self.store.dims
-        waits = {wrap(*add(group.anchor, off), d) for off in WAIT_OFFSETS}
-        return self.position_of(group.deliverer) in waits
+        return self.position_of(group.deliverer) in self._wait_cells(group)
 
-    def _rotate_roles(self, group: TaskGroup, step: int) -> None:
+    def _rotate_roles(self, group: TaskGroup) -> None:
         """After a submit the deliverer becomes the origin, the first
         retriever to connect a block (a submit needs one) the deliverer, and
         the old origin a retriever."""
@@ -516,7 +517,6 @@ class TeamController:
         group.next_deliverer = None
         self._reset_assembly(group)
         self._emit(
-            step,
             "roles_rotated",
             group=group.gid,
             origin=group.origin,
@@ -525,24 +525,24 @@ class TeamController:
 
     # ---------------------------------------------------------------- policies
 
-    def _policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
+    def _policy(self, rt: AgentRuntime, percept: Percept) -> Action:
         pair = self.cartography.pair_of(rt.name)
         if pair is not None:
             return cartographer_action(pair, rt.name, percept)
         role = self.role_of(rt.name)
         if role in (BULLY_BOUNCER, BULLY_HUNTER):
-            return self._bully_policy(rt, percept, step)
+            return self._bully_policy(rt, percept)
         if role == ORIGIN:
-            return self._origin_policy(rt, percept, step)
+            return self._origin_policy(rt, percept)
         if role == DELIVERER:
-            return self._deliverer_policy(rt, percept, step)
+            return self._deliverer_policy(rt, percept)
         if role == RETRIEVER:
             return self._retriever_policy(rt, percept)
-        return self._explorer_policy(rt, percept, step)
+        return self._explorer_policy(rt, percept)
 
     # -- explorer
 
-    def _explorer_policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
+    def _explorer_policy(self, rt: AgentRuntime, percept: Percept) -> Action:
         if not self.building and self.bouncer_count < MAX_BOUNCERS:
             goal_offs = [off for off, kind in percept.terrain if kind == "goal"]
             if goal_offs:
@@ -551,8 +551,8 @@ class TeamController:
                     patrol_center=add(self.store.maps[rt.name].self_pos, min(goal_offs))
                 )
                 self.bouncer_count += 1
-                self._emit(step, "role_change", agent=rt.name, role=BULLY_BOUNCER)
-                return self._bully_policy(rt, percept, step)
+                self._emit("role_change", agent=rt.name, role=BULLY_BOUNCER)
+                return self._bully_policy(rt, percept)
         rt.reroll_in -= 1
         if rt.reroll_in <= 0:
             rt.explore_dir = self.rng.choice(DIRECTIONS)
@@ -577,7 +577,7 @@ class TeamController:
 
     # -- bully
 
-    def _bully_policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
+    def _bully_policy(self, rt: AgentRuntime, percept: Percept) -> Action:
         st = rt.bully
         prey = self._prey_block(percept)
         if prey is not None:
@@ -588,7 +588,7 @@ class TeamController:
         if rt.role == BULLY_HUNTER:
             st.steps_without_prey += 1
             if st.steps_without_prey >= RELOCATE_AFTER:
-                self._relocate_hunter(rt, step)
+                self._relocate_hunter(rt)
         if st.patrol_center is None:
             st.patrol_center = self._pick_patrol_center(rt)
             if st.patrol_center is None:
@@ -622,7 +622,7 @@ class TeamController:
             return None
         return min(candidates)[1]
 
-    def _relocate_hunter(self, rt: AgentRuntime, step: int) -> None:
+    def _relocate_hunter(self, rt: AgentRuntime) -> None:
         st = rt.bully
         clusters = self.goal_clusters()
         if len(clusters) > 1 or (clusters and st.patrol_center not in clusters[0]):
@@ -630,7 +630,7 @@ class TeamController:
             st.patrol_center = bottom_most(clusters[st.cluster_index])
             st.steps_without_prey = 0
             st.patrol_phase = 0
-            self._emit(step, "bully_relocated", agent=rt.name, center=list(st.patrol_center))
+            self._emit("bully_relocated", agent=rt.name, center=list(st.patrol_center))
 
     def _pick_patrol_center(self, rt: AgentRuntime) -> Optional[Coord]:
         """A hunter's centre: the bottom-most cell of its current goal cluster
@@ -652,17 +652,19 @@ class TeamController:
 
     # -- origin
 
-    def _origin_policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
+    def _origin_policy(self, rt: AgentRuntime, percept: Percept) -> Action:
         group = self.groups[rt.group]
         if group.anchor is None:
-            return self._explorer_policy(rt, percept, step)
+            return self._explorer_policy(rt, percept)
         pos = self.position_of(rt.name)
         if group.swap_phase == "detached" and pos == group.anchor:
             return self._vacate(group, percept, pos)
         if group.swap_phase != "none":
             return Action.skip()
         if pos != group.anchor:
-            return self._navigate(rt, percept, pos, self._free_anchor(group, percept, pos))
+            # Head for the bottom-most goal cell of the cluster nobody stands on.
+            cells = sorted(group.goal_cluster, key=lambda c: (-c[1], c[0]))
+            return self._navigate(rt, percept, pos, self._first_free(percept, pos, cells, group.anchor))
         # Detach only once the deliverer stands ready beside the anchor: the
         # unattached window is the one moment an enemy can steal the build.
         task = group.active_task
@@ -673,16 +675,6 @@ class TeamController:
         ):
             return Action.detach("s")
         return Action.skip()
-
-    def _free_anchor(self, group: TaskGroup, percept: Percept, pos: Coord) -> Coord:
-        """Bottom-most unoccupied goal cell of the cluster, judged from the
-        origin's current view."""
-        d = self.store.dims
-        occupied = {wrap(*add(pos, off), d) for off in percept.occupied}
-        for cell in sorted(group.goal_cluster, key=lambda c: (-c[1], c[0])):
-            if cell not in occupied:
-                return cell
-        return group.anchor
 
     def _vacate(self, group: TaskGroup, percept: Percept, pos: Coord) -> Action:
         """Step off the anchor to the north, east or west, never onto the
@@ -697,10 +689,10 @@ class TeamController:
 
     # -- deliverer
 
-    def _deliverer_policy(self, rt: AgentRuntime, percept: Percept, step: int) -> Action:
+    def _deliverer_policy(self, rt: AgentRuntime, percept: Percept) -> Action:
         group = self.groups[rt.group]
         if group.taskboard is None:
-            return self._explorer_policy(rt, percept, step)
+            return self._explorer_policy(rt, percept)
         pos = self.position_of(rt.name)
         d = self.store.dims
         if group.active_task is None:
@@ -716,7 +708,8 @@ class TeamController:
         if group.swap_phase == "none":
             if self._deliverer_in_place(group):
                 return Action.skip()
-            return self._navigate(rt, percept, pos, self._swap_wait_cell(group, percept, pos))
+            waits = self._wait_cells(group)
+            return self._navigate(rt, percept, pos, self._first_free(percept, pos, waits, waits[0]))
         if group.swap_phase == "detached":
             step_dir = OFFSET_DIRS.get(delta(pos, group.anchor, d))
             if step_dir is not None:
@@ -726,19 +719,18 @@ class TeamController:
             return Action.attach("s")
         return Action.submit(group.active_task.name)
 
-    def _swap_wait_cell(self, group: TaskGroup, percept: Percept, pos: Coord) -> Coord:
-        """Cell adjacent to the origin that is not below it."""
+    def _first_free(
+        self, percept: Percept, pos: Coord, cells: Iterable[Coord], default: Coord
+    ) -> Coord:
+        """The first of `cells` the agent at `pos` sees no entity or block
+        on, else `default`. `delta` is the shortest offset, so it lies in
+        the vision diamond whenever any offset to the cell does; the
+        agent's own cell, offset (0, 0), is never occupied."""
         d = self.store.dims
-        for off in WAIT_OFFSETS:
-            cell = wrap(*add(group.anchor, off), d)
-            if cell == pos:
+        for cell in cells:
+            if delta(pos, cell, d) not in percept.occupied:
                 return cell
-            if not self._cell_occupied(percept, pos, cell):
-                return cell
-        return wrap(*add(group.anchor, (0, -1)), d)
-
-    def _cell_occupied(self, percept: Percept, pos: Coord, cell: Coord) -> bool:
-        return delta(pos, cell, self.store.dims) in percept.occupied
+        return default
 
     # -- retriever
 
@@ -763,7 +755,9 @@ class TeamController:
             target = nearest(dispensers, pos, d)
             off = delta(pos, target, d)
             if off not in CARDINALS:
-                return self._navigate(rt, percept, pos, self._adjacent_free(percept, pos, target))
+                sides = (wrap(*add(target, side), d) for side in CARDINALS)
+                default = wrap(*add(target, (0, 1)), d)
+                return self._navigate(rt, percept, pos, self._first_free(percept, pos, sides, default))
             task.phase = "grab"
             if off in percept.blocks:
                 return Action.attach(OFFSET_DIRS[off])
@@ -811,14 +805,6 @@ class TeamController:
         ):
             return Action.skip()
         return fallback_one_step(percept, pos, wrap(*add(group.anchor, (6, 6)), d), d)
-
-    def _adjacent_free(self, percept: Percept, pos: Coord, target: Coord) -> Coord:
-        d = self.store.dims
-        for off in CARDINALS:
-            cell = wrap(*add(target, off), d)
-            if cell == pos or not self._cell_occupied(percept, pos, cell):
-                return cell
-        return wrap(*add(target, (0, 1)), d)
 
     def _slot_approach(self, group: TaskGroup, slot_cell: Coord, index: int = 0) -> Coord:
         """Agent cell from which the held block lands exactly on the slot:

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .torus import (
     CARDINALS,
@@ -46,6 +46,7 @@ CLEAR_COST = 30
 CLEAR_RANGE = 5
 DISABLE_DURATION = 4  # steps an agent hit by a clear stays disabled
 ACCEPT_RADIUS = 2  # distance to a task board from which a task can be accepted
+CLEAR_EVENT_RADIUS = 2  # radius of the diamond an area clear event empties
 
 # The vision diamond in sorted offset order, the order of a percept's lists.
 _SORTED_DIAMOND = tuple(sorted(DIAMOND))
@@ -161,16 +162,16 @@ SKIP = Action.skip()
 
 @dataclass
 class FixedLayout:
-    """Explicit layout for scripted scenarios; any field left None falls back
-    to seeded generation."""
+    """A whole layout, the one thing a world is built from: a scripted
+    scenario passes its own, otherwise the world draws one from its seed."""
 
-    obstacles: Optional[list[Coord]] = None
-    goals: Optional[list[Coord]] = None
-    dispensers: Optional[list[tuple[Coord, str]]] = None
-    taskboards: Optional[list[Coord]] = None
-    spawns: Optional[dict[str, Coord]] = None  # agent name -> cell
+    obstacles: Collection[Coord]
+    goals: Collection[Coord]
+    dispensers: list[tuple[Coord, str]]
+    taskboards: Collection[Coord]
+    spawns: dict[str, Coord]  # agent name -> cell
     # (appear_step, name, reward, duration, requirements) tuples
-    tasks: Optional[list[tuple[int, str, int, int, list[tuple[Offset, str]]]]] = None
+    tasks: list[tuple[int, str, int, int, list[tuple[Offset, str]]]]
 
 
 @dataclass
@@ -239,118 +240,77 @@ class World:
         self.scores: dict[str, int] = {t: 0 for t in sorted(config.teams)}
         self.spawns: dict[str, Coord] = {}
         self._task_counter = 0
-        self._events: list[dict] = []
+        self._events: list[dict] = []  # the current step's events
         self._pending_clear_event: Optional[Coord] = None
-        self._scripted_tasks = list(config.fixed.tasks) if config.fixed and config.fixed.tasks else []
-        self._generate()
+        self._build(config.fixed or self._seeded_layout())
         self._inject_scripted_tasks()
 
     # ------------------------------------------------------------------ setup
 
-    def _generate(self) -> None:
+    def _seeded_layout(self) -> FixedLayout:
+        """A whole layout drawn from the world's RNG: goal clusters,
+        obstacles, taskboards, dispensers, then one spawn blob per team."""
         cfg, dims, rng = self.config, self.dims, self.rng
-        fixed = cfg.fixed or FixedLayout()
         all_cells = [(x, y) for y in range(dims.h) for x in range(dims.w)]
 
-        if fixed.goals is not None:
-            goal_cells = {wrap(*c, dims) for c in fixed.goals}
-        else:
-            goal_cells = set()
-            for _ in range(cfg.goal_cluster_count):
-                seed_cell = rng.choice(all_cells)
-                cluster = {seed_cell}
-                frontier = [seed_cell]
-                attempts = cfg.goal_cluster_size * 25
-                while len(cluster) < cfg.goal_cluster_size and attempts > 0:
-                    attempts -= 1
-                    base = frontier[rng.randrange(len(frontier))]
-                    nxt = wrap(*add(base, rng.choice(CARDINALS)), dims)
-                    if nxt not in cluster:
-                        cluster.add(nxt)
-                        frontier.append(nxt)
-                goal_cells |= cluster
+        goals: set[Coord] = set()
+        for _ in range(cfg.goal_cluster_count):
+            seed_cell = rng.choice(all_cells)
+            cluster = {seed_cell}
+            frontier = [seed_cell]
+            attempts = cfg.goal_cluster_size * 25
+            while len(cluster) < cfg.goal_cluster_size and attempts > 0:
+                attempts -= 1
+                base = frontier[rng.randrange(len(frontier))]
+                nxt = wrap(*add(base, rng.choice(CARDINALS)), dims)
+                if nxt not in cluster:
+                    cluster.add(nxt)
+                    frontier.append(nxt)
+            goals |= cluster
+        obstacles = {c for c in all_cells if c not in goals and rng.random() < cfg.obstacle_density}
 
-        if fixed.obstacles is not None:
-            obstacle_cells = {wrap(*c, dims) for c in fixed.obstacles}
-        else:
-            obstacle_cells = {
-                c for c in all_cells if c not in goal_cells and rng.random() < cfg.obstacle_density
-            }
+        free = [c for c in all_cells if c not in obstacles]
+        taskboards = [rng.choice(free) for _ in range(cfg.taskboard_count)]
+        taken = set(taskboards)
+        candidates = [c for c in free if c not in taken]
+        dispensers = []
+        for btype in BLOCK_TYPES:
+            for _ in range(cfg.dispensers_per_type):
+                if not candidates:
+                    raise WorldConfigError("not enough open cells for dispensers")
+                dispensers.append((candidates.pop(rng.randrange(len(candidates))), btype))
 
-        for c in all_cells:
-            self.terrain[c] = GOAL if c in goal_cells else (OBSTACLE if c in obstacle_cells else EMPTY)
-
-        free = [c for c in all_cells if self.terrain[c] != OBSTACLE]
-        if fixed.taskboards is not None:
-            self.taskboards = {wrap(*c, dims) for c in fixed.taskboards}
-        else:
-            for _ in range(cfg.taskboard_count):
-                self.taskboards.add(rng.choice(free))
-        if fixed.dispensers is not None:
-            for c, btype in fixed.dispensers:
-                self.dispensers[wrap(*c, dims)] = btype
-        else:
-            taken = set(self.taskboards)
-            candidates = [c for c in free if c not in taken]
-            for btype in BLOCK_TYPES:
-                for _ in range(cfg.dispensers_per_type):
-                    if not candidates:
-                        raise WorldConfigError("not enough open cells for dispensers")
-                    c = candidates.pop(rng.randrange(len(candidates)))
-                    self.dispensers[c] = btype
-
-        self._place_agents(fixed)
-
-    def _place_agents(self, fixed: FixedLayout) -> None:
-        cfg, dims, rng = self.config, self.dims, self.rng
-        names = cfg.agent_names()
-        total = sum(len(v) for v in names.values())
-        open_cells = [
-            (x, y)
-            for y in range(dims.h)
-            for x in range(dims.w)
-            if self.terrain[(x, y)] != OBSTACLE
-        ]
-        if total > len(open_cells):
-            raise WorldConfigError(
-                f"cannot place {total} agents on {len(open_cells)} open cells"
-            )
-
-        if fixed.spawns is not None:
-            for team, team_names in names.items():
-                for n in team_names:
-                    if n not in fixed.spawns:
-                        raise WorldConfigError(f"fixed layout missing spawn for {n}")
-                    c = wrap(*fixed.spawns[n], dims)
-                    self._spawn_agent(n, team, c)
-            return
-
+        spawns: dict[str, Coord] = {}
         used: set[Coord] = set()
         anchors: list[Coord] = []
-        for team, team_names in names.items():
-            anchor = self._pick_anchor(open_cells, anchors, rng)
-            anchors.append(anchor)
-            cells = self._cluster_cells(anchor, len(team_names), used)
-            for n, c in zip(team_names, cells):
-                self._spawn_agent(n, team, c)
-                used.add(c)
+        for team_names in cfg.agent_names().values():
+            anchors.append(self._pick_anchor(free, anchors))
+            cells = self._cluster_cells(anchors[-1], len(team_names), obstacles, used)
+            spawns.update(zip(team_names, cells))
+            used.update(cells)
+        return FixedLayout(
+            obstacles=obstacles, goals=goals, dispensers=dispensers,
+            taskboards=taskboards, spawns=spawns, tasks=[],
+        )
 
-    def _pick_anchor(self, open_cells: list[Coord], others: list[Coord], rng: random.Random) -> Coord:
+    def _pick_anchor(self, open_cells: list[Coord], others: list[Coord]) -> Coord:
         min_gap = (self.dims.w + self.dims.h) // 4
         for _ in range(200):
-            c = rng.choice(open_cells)
+            c = self.rng.choice(open_cells)
             if all(torus_distance(c, o, self.dims) >= min_gap for o in others):
                 return c
-        return rng.choice(open_cells)
+        return self.rng.choice(open_cells)
 
-    def _cluster_cells(self, anchor: Coord, n: int, used: set[Coord]) -> list[Coord]:
+    def _cluster_cells(
+        self, anchor: Coord, n: int, obstacles: set[Coord], used: set[Coord]
+    ) -> list[Coord]:
         # Breadth-first flood over open cells so teammates start in a blob.
         out: list[Coord] = []
         seen = {anchor}
         queue = [anchor]
         while queue and len(out) < n:
             c = queue.pop(0)
-            if self.terrain[c] != OBSTACLE and c not in used:
+            if c not in obstacles and c not in used:
                 out.append(c)
             for d in CARDINALS:
                 nxt = wrap(*add(c, d), self.dims)
@@ -360,6 +320,31 @@ class World:
         if len(out) < n:
             raise WorldConfigError("spawn cluster does not fit on the map")
         return out
+
+    def _build(self, layout: FixedLayout) -> None:
+        """The one path that writes terrain, facilities and agents."""
+        dims = self.dims
+        goals = {wrap(*c, dims) for c in layout.goals}
+        obstacles = {wrap(*c, dims) for c in layout.obstacles}
+        for y in range(dims.h):
+            for x in range(dims.w):
+                c = (x, y)
+                self.terrain[c] = GOAL if c in goals else (OBSTACLE if c in obstacles else EMPTY)
+        self.taskboards = {wrap(*c, dims) for c in layout.taskboards}
+        for c, btype in layout.dispensers:
+            self.dispensers[wrap(*c, dims)] = btype
+
+        names = self.config.agent_names()
+        total = sum(len(v) for v in names.values())
+        open_cells = len(self.terrain) - len(obstacles - goals)
+        if total > open_cells:
+            raise WorldConfigError(f"cannot place {total} agents on {open_cells} open cells")
+        for team, team_names in names.items():
+            for n in team_names:
+                if n not in layout.spawns:
+                    raise WorldConfigError(f"fixed layout missing spawn for {n}")
+                self._spawn_agent(n, team, wrap(*layout.spawns[n], dims))
+        self._scripted_tasks = list(layout.tasks)
 
     def _spawn_agent(self, name: str, team: str, cell: Coord) -> None:
         if self.terrain[cell] == OBSTACLE or self._agent_at(cell) is not None:
@@ -454,13 +439,12 @@ class World:
     ) -> tuple[dict[str, Percept], list[dict]]:
         """Apply one step's actions; return the observers' new percepts and
         the step's events."""
-        events: list[dict] = []
-        self._events = events
+        self._events = []
         for name in sorted(self.agents):
             act = actions.get(name, SKIP)
             result = self._apply(self.agents[name], act)
             self.agents[name].last_result = (act.kind, result)
-            events.append(
+            self._events.append(
                 {
                     "step": self.step_num,
                     "type": "action",
@@ -469,22 +453,22 @@ class World:
                     "result": result,
                 }
             )
-        self._dynamics(events)
+        self._dynamics()
         self.step_num += 1
         self._inject_scripted_tasks()
-        return self.percepts(observers), events
+        return self.percepts(observers), self._events
 
-    def _dynamics(self, events: list[dict]) -> None:
+    def _dynamics(self) -> None:
         cfg = self.config
         for name, task in sorted(self.tasks.items()):
             if task.deadline <= self.step_num + 1:
-                events.append({"step": self.step_num, "type": "task_expired", "task": name})
+                self._events.append({"step": self.step_num, "type": "task_expired", "task": name})
                 del self.tasks[name]
         if cfg.task_interval > 0 and self.step_num % cfg.task_interval == 0:
             if len(self.active_tasks()) < MAX_ACTIVE_TASKS:
                 task = self._random_task()
                 self.tasks[task.name] = task
-                events.append(
+                self._events.append(
                     {
                         "step": self.step_num,
                         "type": "task_new",
@@ -494,12 +478,12 @@ class World:
                     }
                 )
         if self._pending_clear_event is not None:
-            self._apply_area_clear(self._pending_clear_event, radius=2, events=events)
+            self._apply_area_clear(self._pending_clear_event)
             self._pending_clear_event = None
         if cfg.clear_event_rate > 0 and self.rng.random() < cfg.clear_event_rate:
             center = (self.rng.randrange(self.dims.w), self.rng.randrange(self.dims.h))
             self._pending_clear_event = center
-            events.append(
+            self._events.append(
                 {"step": self.step_num, "type": "clear_event_warning", "cell": list(center)}
             )
         for a in self.agents.values():
@@ -801,13 +785,14 @@ class World:
             removed.append("agent_disabled")
         return removed
 
-    def _apply_area_clear(self, center: Coord, radius: int, events: list[dict]) -> None:
+    def _apply_area_clear(self, center: Coord) -> None:
+        r = CLEAR_EVENT_RADIUS
         removed = []
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                if abs(dx) + abs(dy) <= radius:
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                if abs(dx) + abs(dy) <= r:
                     removed.extend(self._clear_cell(wrap(*add(center, (dx, dy)), self.dims)))
-        events.append(
+        self._events.append(
             {
                 "step": self.step_num,
                 "type": "clear_event",

@@ -52,9 +52,10 @@ def scripted_world(
     seed=0,
     **overrides,
 ):
-    """A fully pinned world: `spawns` maps team name -> list of cells; agents
-    are named <team>01, <team>02, ... in list order. Random terrain, tasks
-    and clear events are all off unless overridden."""
+    """A fully pinned world, built from a whole `FixedLayout` of the given
+    cells: `spawns` maps team name -> list of cells; agents are named
+    <team>01, <team>02, ... in list order. The seed draws no layout, and
+    random tasks and clear events are off unless overridden."""
     teams = {team: len(cells) for team, cells in spawns.items()}
     named = {}
     for team, cells in spawns.items():

@@ -393,9 +393,10 @@ def unheld_multiblock_component(world):
     return False
 
 
-def run_assembly_instrumented(seed=6):
+def run_assembly_instrumented(seed=6, extra_tasks=()):
     cfg = assembly_config()
     cfg.seed = seed
+    cfg.fixed.tasks.extend(extra_tasks)
     cfg.validate()
     world = World(cfg.world_config(), cfg.seed)
     names = cfg.world_config().agent_names()
@@ -457,6 +458,19 @@ def test_criterion_7_end_to_end_assembly(monkeypatch, join_priority, expected):
     kinds = {e["type"] for e in events}
     assert {"task_selected", "task_submitted", "roles_rotated"} <= kinds
     report(7, f"{completed} two-block tasks completed, swap window exactly {max_window} steps")
+
+
+def test_criterion_7_two_submits_rotate_roles_twice():
+    """A second scripted task makes the group submit, and rotate its roles,
+    a second time, with the group tables checked every step throughout."""
+    job2 = (0, "job2", 20, 400, [((0, 1), "b2"), ((0, 2), "b1")])
+    completed, _window, events, _team = run_assembly_instrumented(extra_tasks=[job2])
+    rotations = [e for e in events if e["type"] == "roles_rotated"]
+    assert completed == 2
+    assert len(rotations) == 2
+    # The deliverer of the first rotation is the origin of the second.
+    assert rotations[1]["origin"] == rotations[0]["deliverer"]
+    report(7, "a second task submitted, roles rotated twice")
 
 
 # --------------------------------------------------------------- criterion 8

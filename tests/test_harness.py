@@ -5,6 +5,7 @@ import pytest
 
 from torusarena.cli import main as cli_main
 from torusarena.harness import (
+    OPPONENTS,
     PRESETS,
     GreedyCourier,
     MatchConfig,
@@ -60,6 +61,21 @@ class TestConfigValidation:
         cfg = small_config(dims=(4, 4))
         with pytest.raises(MatchConfigError, match="dims"):
             cfg.validate()
+
+    def test_group_capacity_below_one_rejected_before_play(self):
+        # Unchecked, a zero capacity divides by zero once building starts.
+        cfg = MatchConfig(dims=(20, 20), team_size=5, steps=150, seed=1, group_capacity=0)
+        with pytest.raises(MatchConfigError, match="group_capacity"):
+            cfg.validate()
+        with pytest.raises(MatchConfigError, match="group_capacity"):
+            run_match(cfg)
+
+    @pytest.mark.parametrize("opponent", list(OPPONENTS))
+    def test_every_opponent_validates_and_parses(self, opponent, capsys):
+        small_config(opponent=opponent).validate()
+        argv = ["run", "--opponent", opponent, "--steps", "1", "--dims", "16x16", "--team-size", "2"]
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == 1
 
     def test_cache_location_does_not_change_config_hash(self):
         a, b = small_config(), small_config(cache_dir="/tmp/x", cache_readonly=True)

@@ -20,7 +20,7 @@ from torusarena.team import (
     role_for_slot,
     select_task,
 )
-from torusarena.torus import Dims, sub
+from torusarena.torus import Dims, add, sub, wrap
 from torusarena.world import Action, Task, World, WorldConfig
 
 
@@ -80,7 +80,7 @@ class TestBuildingPhase:
 
     def test_full_team_census(self):
         team = self.controller(15)
-        team._maybe_start_building(step=5)
+        team._maybe_start_building()
         assert team.building
         assert len(team.groups) == 1
         g = team.groups[0]
@@ -94,7 +94,7 @@ class TestBuildingPhase:
 
     def test_fifty_agents_three_groups_and_five_hunters(self):
         team = self.controller(50)
-        team._maybe_start_building(step=5)
+        team._maybe_start_building()
         assert len(team.groups) == 3
         hunters = [n for n in team.names if team.role_of(n) == BULLY_HUNTER]
         # Slot 14 of each group and the five leftovers; no hunter is a member.
@@ -107,7 +107,7 @@ class TestBuildingPhase:
         names = [f"alpha{i + 1:02d}" for i in range(15)]
         team = TeamController("alpha", names, seed=1)
         team.store.set_dims(Dims(40, 40))
-        team._maybe_start_building(step=5)
+        team._maybe_start_building()
         assert not team.building  # still many singleton frame groups
 
 
@@ -119,7 +119,7 @@ class TestSlotReassignment:
 
     def assembling_group(self):
         team = TestBuildingPhase().controller(15)
-        team._maybe_start_building(step=5)
+        team._maybe_start_building()
         group = team.groups[0]
         reqs = frozenset({((0, 1), "b1"), ((0, 2), "b1"), ((0, 3), "b1")})
         group.active_task = Task("t", 10, 999, reqs)
@@ -133,35 +133,35 @@ class TestSlotReassignment:
         ]
         return name
 
-    def connect(self, team, group, name, step):
+    def connect(self, team, group, name):
         team.runtimes[name].fetch.phase = "connect"
         percepts = {
             n: SimpleNamespace(last_action_result=("connect", "success") if n == name else None)
             for n in team.names
         }
-        team._note_connect_results(group, percepts, step)
+        team._note_connect_results(group, percepts)
 
     def double_listed(self):
         """Slot 0 staged, then slot 2 stalls and goes to slot 0's retriever."""
         team, group = self.assembling_group()
         first = self.owner(team, group, 0)
-        self.connect(team, group, first, step=10)
+        self.connect(team, group, first)
         assert group.staged == {0}
         team.runtimes[self.owner(team, group, 2)].fetch.stall = STALL_REASSIGN
-        team._reassign_stalled(group, step=11)
+        team._reassign_stalled(group)
         assert self.owner(team, group, 2) == first
         team.drain_events()
         return team, group, first
 
     def test_reassigned_retriever_stages_its_new_slot(self):
         team, group, first = self.double_listed()
-        self.connect(team, group, first, step=12)
+        self.connect(team, group, first)
         assert group.staged == {0, 2}
 
     def test_stalled_reassigned_retriever_hands_on_its_new_slot(self):
         team, group, first = self.double_listed()
         team.runtimes[first].fetch.stall = STALL_REASSIGN
-        team._reassign_stalled(group, step=12)
+        team._reassign_stalled(group)
         events = [e for e in team.drain_events() if e["type"] == "slot_reassigned"]
         assert [e["slot"] for e in events] == [2]
         heir = team.runtimes[events[0]["agent"]].fetch
@@ -339,6 +339,64 @@ class TestGoallessHunter:
         # Unlike an explorer, it never turns back south.
         box = [(10, 9), (11, 10), (9, 10)] + ([] if south_free else [(10, 11)])
         assert self.act(box) == Action.skip()
+
+
+class TestBuildingBeforeGoalsKnown:
+    """A merged team that knows the grid size starts building at once, even
+    with no goal cell or taskboard in its merged view. Origins and
+    deliverers explore until the goals come into view; that step every
+    group gets a cluster, an anchor and a taskboard."""
+
+    BOARD = (19, 6)  # seen one step before the goal cells east of it
+
+    def test_groups_explore_then_take_the_cluster_in_view(self):
+        w = scripted_world(
+            30,
+            30,
+            {"alpha": [(5, 5), (6, 5), (5, 6), (6, 6)]},
+            goals=[(21, 5), (22, 5), (21, 6)],
+            taskboards=[self.BOARD],
+            dispensers=[((3, 20), "b1")],
+        )
+        names = sorted(w.agents)
+        team = TeamController("alpha", names, seed=0, group_capacity=2)
+        team.store.set_dims(w.dims)
+        lead = w.spawns[names[0]]
+        for n in names:  # one frame group, in the leader's frame
+            team.store.leaders[n] = names[0]
+            team.store.offsets[n] = sub(w.spawns[n], lead)
+            team.runtimes[n].explore_dir = "e"
+        explored = []
+        explorer_policy = team._explorer_policy
+
+        def spy(rt, percept):
+            explored.append(rt.name)
+            return explorer_policy(rt, percept)
+
+        team._explorer_policy = spy
+        percepts = w.percepts(names)
+        found = None
+        for step in range(20):
+            explored.clear()
+            actions = team.act(percepts, step)
+            percepts, _ = w.step(actions, names)
+            assert team.building and len(team.groups) == 2
+            if not team.goal_clusters():
+                # Two groups of origin and deliverer, all four exploring.
+                assert sorted(explored) == names
+                assert all(g.anchor is None and g.taskboard is None for g in team.groups)
+                continue
+            found = step
+            break
+        assert found is not None and found > 0, "the goals must come into view while building"
+        cluster = team.goal_clusters()[0]
+        board = wrap(*sub(self.BOARD, lead), w.dims)
+        for group in team.groups:
+            assert group.goal_cluster == cluster
+            assert group.anchor == bottom_most(cluster)
+            assert w.terrain[wrap(*add(group.anchor, lead), w.dims)] == "goal"
+            assert group.taskboard == board
+        assert explored == [], "with an anchor and a taskboard nobody explores"
 
 
 class TestRequirementOrdering:

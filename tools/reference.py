@@ -30,7 +30,10 @@ The reference set:
 - greedy-courier at 400 steps: r1 seeds 0-3, r2 seeds 0 and 7, r3 seeds 0
   and 1;
 - random-walk: 40x40, obstacle density 0.1, clear rate 0.05, 300 steps,
-  seeds 0-2.
+  seeds 0-2;
+- scripted assembly: the acceptance suite's criterion-7 layout (a
+  `FixedLayout`: one goal cluster, one taskboard, a b1 and a b2 dispenser,
+  pinned spawns, one scripted 2-block task), idle, 300 steps, seed 6.
 """
 
 from __future__ import annotations
@@ -76,6 +79,19 @@ def reference_set(harness, cache_dir: str) -> list[tuple[str, object]]:
         out.append((f"random-walk 40x40 seed {seed}", cfg(
             dims=(40, 40), steps=300, seed=seed, opponent="random-walk",
             obstacle_density=0.1, clear_event_rate=0.05)))
+    spawns = {f"alpha{i + 1:02d}": (16 + i % 5, 16 + i // 5) for i in range(15)}
+    spawns.update({f"beta{i + 1:02d}": (1 + i % 5, 33 + i // 5) for i in range(15)})
+    layout = harness.FixedLayout(
+        obstacles=[],
+        goals=[(20, 24), (21, 24), (20, 25), (21, 25), (20, 26)],
+        dispensers=[((14, 20), "b1"), ((26, 20), "b2")],
+        taskboards=[(22, 22)],
+        spawns=spawns,
+        tasks=[(0, "job1", 20, 280, [((0, 1), "b1"), ((0, 2), "b2")])],
+    )
+    out.append(("scripted assembly seed 6", cfg(
+        dims=(40, 40), team_size=15, steps=300, seed=6, opponent="idle",
+        task_interval=0, fixed=layout)))
     return out
 
 
