@@ -10,6 +10,7 @@ between, so replays can detect any corruption.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -237,12 +238,13 @@ OPPONENTS = {
 
 @dataclass
 class Match:
-    """A finished match: the world and team as the last step left them, and
-    the complete event log, footer included."""
+    """A finished match: the world and team as the last step left them, the
+    complete event log, footer included, and the report counted from it."""
 
     world: World
     team: TeamController
     log: list[str]
+    report: MatchReport
 
 
 def play(config: MatchConfig) -> Match:
@@ -273,31 +275,36 @@ def play(config: MatchConfig) -> Match:
         "seed": config.seed,
     }
     log = [_dump(header)]
+    # The report is counted from each record as it is written, by the rules
+    # replay counts the log's lines with.
+    report = _empty_report()
     # Only the team reads percepts; the opponents read the world itself.
     percepts = world.percepts(names[TEAM])
     for step in range(config.steps):
         actions = team.act(percepts, step)
         actions.update(opponent.act(world, step))
         percepts, world_events = world.step(actions, names[TEAM])
-        log.extend(_dump(record) for record in team.drain_events())
-        log.extend(_dump(record) for record in world_events)
+        for record in itertools.chain(team.drain_events(), world_events):
+            _tally(report, record)
+            log.append(_dump(record))
     final = {
         "type": "final",
         "step": config.steps,
         "scores": dict(sorted(world.scores.items())),
     }
+    _tally(report, final)
     log.append(_dump(final))
     log.append(_dump({"type": "footer", "sha256": log_digest(log)}))
-    return Match(world, team, log)
+    return Match(world, team, log, report)
 
 
 def run_match(config: MatchConfig) -> tuple[MatchReport, list[str]]:
-    log = play(config).log
-    return _report_from_log(log), log
+    match = play(config)
+    return match.report, match.log
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# `json.dumps` with keyword arguments builds a new encoder on every call.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def log_digest(lines: list[str]) -> str:
@@ -349,36 +356,46 @@ def _last_step(lines: list[str]) -> int:
 
 
 def _report_from_log(lines: list[str]) -> MatchReport:
-    report = MatchReport(scores={TEAM: 0, OPPONENT: 0}, tasks_completed={TEAM: 0, OPPONENT: 0})
+    report = _empty_report()
     for line in lines:
         record = json.loads(line)
         if not isinstance(record, dict):
             raise ReplayError("a log line is not a JSON object", _last_step(lines))
-        kind = record.get("type")
-        if kind == "task_completed":
-            team = record["team"]
-            report.tasks_completed[team] = report.tasks_completed.get(team, 0) + 1
-            report.scores[team] = report.scores.get(team, 0) + record["reward"]
-        elif kind == "plan":
-            if record["outcome"] == "hit":
-                report.cache_hits += 1
-            elif record["outcome"] == "miss":
-                report.cache_misses += 1
-                report.planner_invocations += 1
-            else:  # uncached direct solve
-                report.planner_invocations += 1
-        elif kind == "cartography_finished":
-            report.cartography_finish[record["dimension"]] = record["step"]
-        elif kind == "merge":
-            report.merge_count += 1
-        elif kind == "identification":
-            report.identification_count += record["count"]
-        elif kind == "stuck":
-            report.stuck_events += 1
-        elif kind == "final":
-            report.steps = record["step"]
-            report.scores.update(record["scores"])
+        _tally(report, record)
     return report
+
+
+def _empty_report() -> MatchReport:
+    return MatchReport(scores={TEAM: 0, OPPONENT: 0}, tasks_completed={TEAM: 0, OPPONENT: 0})
+
+
+def _tally(report: MatchReport, record: dict) -> None:
+    """Count one log record into the report: the one set of counting rules,
+    for a match as it writes its log and for a replay as it reads one."""
+    kind = record.get("type")
+    if kind == "task_completed":
+        team = record["team"]
+        report.tasks_completed[team] = report.tasks_completed.get(team, 0) + 1
+        report.scores[team] = report.scores.get(team, 0) + record["reward"]
+    elif kind == "plan":
+        if record["outcome"] == "hit":
+            report.cache_hits += 1
+        elif record["outcome"] == "miss":
+            report.cache_misses += 1
+            report.planner_invocations += 1
+        else:  # uncached direct solve
+            report.planner_invocations += 1
+    elif kind == "cartography_finished":
+        report.cartography_finish[record["dimension"]] = record["step"]
+    elif kind == "merge":
+        report.merge_count += 1
+    elif kind == "identification":
+        report.identification_count += record["count"]
+    elif kind == "stuck":
+        report.stuck_events += 1
+    elif kind == "final":
+        report.steps = record["step"]
+        report.scores.update(record["scores"])
 
 
 # ---------------------------------------------------------------- cache stats

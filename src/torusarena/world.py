@@ -3,9 +3,12 @@ actions, clear mechanics, tasks and scoring, all driven by one seeded RNG.
 
 Percepts are immutable snapshots of the 61-cell diamond around an agent and
 never leak agent identities, only team names; they are built only for the
-agents a caller names. Actions are applied in ascending agent-name order,
-which doubles as the conflict-resolution rule: the lower name wins a
-contested cell.
+agents a caller names. A percept visits only the diamond's marked cells:
+once per `percepts` call, every cell that may hold something (a fixture, a
+block or an agent) sets bit `y` of its column's int, repeated round the
+torus so that one shift and one mask cut any column of the diamond out of
+it. Actions are applied in ascending agent-name order, which doubles as the
+conflict-resolution rule: the lower name wins a contested cell.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Collection, Iterable, NamedTuple, Optional
 
 from .torus import (
     CARDINALS,
-    DIAMOND,
     DIR_OFFSETS,
+    VISION_RADIUS,
     Coord,
     Dims,
     Offset,
@@ -48,8 +51,13 @@ DISABLE_DURATION = 4  # steps an agent hit by a clear stays disabled
 ACCEPT_RADIUS = 2  # distance to a task board from which a task can be accepted
 CLEAR_EVENT_RADIUS = 2  # radius of the diamond an area clear event empties
 
-# The vision diamond in sorted offset order, the order of a percept's lists.
-_SORTED_DIAMOND = tuple(sorted(DIAMOND))
+# The vision diamond as its columns, west to east: (dx, half-height, mask of
+# the column's 2 * half-height + 1 rows). Walking them in this order, each
+# from north to south, visits the offsets in sorted order.
+_DIAMOND_COLUMNS = tuple(
+    (dx, VISION_RADIUS - abs(dx), (1 << 2 * (VISION_RADIUS - abs(dx)) + 1) - 1)
+    for dx in range(-VISION_RADIUS, VISION_RADIUS + 1)
+)
 
 
 class Thing(NamedTuple):
@@ -236,6 +244,10 @@ class World:
         # Occupant index: cell -> the agent standing there. Written only by
         # _spawn_agent and _move_structure, the only places a position changes.
         self._occupant: dict[Coord, AgentState] = {}
+        # Every cell built with terrain, a dispenser or a taskboard. A clear
+        # only ever empties a cell, so this stays a superset of the cells
+        # that hold one; a percept looks at no other fixed cell.
+        self._fixtures: set[Coord] = set()
         self.tasks: dict[str, Task] = {}
         self.scores: dict[str, int] = {t: 0 for t in sorted(config.teams)}
         self.spawns: dict[str, Coord] = {}
@@ -333,6 +345,7 @@ class World:
         self.taskboards = {wrap(*c, dims) for c in layout.taskboards}
         for c, btype in layout.dispensers:
             self.dispensers[wrap(*c, dims)] = btype
+        self._fixtures = goals | obstacles | self.taskboards | self.dispensers.keys()
 
         names = self.config.agent_names()
         total = sum(len(v) for v in names.values())
@@ -386,14 +399,28 @@ class World:
     def percepts(self, names: Iterable[str]) -> dict[str, Percept]:
         """Percepts of the named agents, in the given order."""
         tasks = tuple(self.active_tasks())
+        w, h = self.dims
+        # Bit y of column x marks cell (x, y). Each column is repeated
+        # `copies` times on either side, at multiples of h, so rows
+        # py - R .. py + R sit at bits py - R + copies * h upwards for any
+        # py, even when the diamond wraps onto itself.
+        marked = [0] * w
+        for cells in (self._fixtures, self.blocks, self._occupant):
+            for x, y in cells:
+                marked[x] |= 1 << y
+        copies = -(-VISION_RADIUS // h)
+        repeat = sum(1 << k * h for k in range(2 * copies + 1))
+        columns = [c * repeat for c in marked]
         out = {}
         for name in names:
             if name not in self.agents:
                 raise KeyError(f"unknown agent {name!r}")
-            out[name] = self._percept(self.agents[name], tasks)
+            out[name] = self._percept(self.agents[name], tasks, columns, copies * h)
         return out
 
-    def _percept(self, me: AgentState, tasks: tuple[Task, ...]) -> Percept:
+    def _percept(
+        self, me: AgentState, tasks: tuple[Task, ...], columns: list[int], middle: int
+    ) -> Percept:
         things: list[Thing] = []
         terrain: list[tuple[Offset, str]] = []
         boards: list[Offset] = []
@@ -401,27 +428,35 @@ class World:
         w, h = self.dims
         occupant, blocks, dispensers = self._occupant, self.blocks, self.dispensers
         cells, taskboards = self.terrain, self.taskboards
-        # Offsets in sorted order, and a cell's things in kind order, so all
-        # three lists come out sorted.
-        for off in _SORTED_DIAMOND:
-            dx, dy = off
-            cell = ((px + dx) % w, (py + dy) % h)
-            if cell in blocks:
-                things.append(Thing(off, "block", blocks[cell]))
-            if cell in dispensers:
-                things.append(Thing(off, "dispenser", dispensers[cell]))
-            # Test the offset, not the agent: on a side of at most
-            # VISION_RADIUS the diamond wraps onto the agent's own cell at a
-            # non-zero offset, and the agent lists itself there.
-            if off != (0, 0):
-                other = occupant.get(cell)
-                if other is not None:
-                    things.append(Thing(off, "entity", other.team))
-            t = cells[cell]
-            if t != EMPTY:
-                terrain.append((off, t))
-            if cell in taskboards:
-                boards.append(off)
+        # Columns west to east, each column's marked rows north to south, and
+        # a cell's things in kind order, so all three lists come out sorted.
+        for dx, span, mask in _DIAMOND_COLUMNS:
+            x = (px + dx) % w
+            window = (columns[x] >> (py - span + middle)) & mask
+            while window:
+                low = window & -window
+                window ^= low
+                dy = low.bit_length() - 1 - span
+                off = (dx, dy)
+                cell = (x, (py + dy) % h)
+                block = blocks.get(cell)
+                if block is not None:
+                    things.append(Thing(off, "block", block))
+                dispenser = dispensers.get(cell)
+                if dispenser is not None:
+                    things.append(Thing(off, "dispenser", dispenser))
+                # Test the offset, not the agent: on a side of at most
+                # VISION_RADIUS the diamond wraps onto the agent's own cell at
+                # a non-zero offset, and the agent lists itself there.
+                if off != (0, 0):
+                    other = occupant.get(cell)
+                    if other is not None:
+                        things.append(Thing(off, "entity", other.team))
+                t = cells[cell]
+                if t != EMPTY:
+                    terrain.append((off, t))
+                if cell in taskboards:
+                    boards.append(off)
         return Percept(
             self_energy=me.energy,
             self_attached=tuple(me.attached_offsets(self)),
@@ -806,6 +841,9 @@ class World:
     def check_invariants(self) -> None:
         """Exhaustive consistency check; used by tests after every tick."""
         assert len(self._occupant) == len(self.agents), "occupant index size differs from agent count"
+        unlisted = [c for c, t in self.terrain.items() if t != EMPTY and c not in self._fixtures]
+        unlisted += (self.dispensers.keys() | self.taskboards) - self._fixtures
+        assert not unlisted, f"fixture cells {sorted(unlisted)} missing from the fixture index"
         seen: dict[Coord, str] = {}
         for a in self.agents.values():
             assert self._occupant.get(a.pos) is a, f"occupant index misses {a.name} at {a.pos}"

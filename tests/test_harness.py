@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +52,17 @@ def with_line(log, index, text):
 
 
 NOT_AN_OBJECT = {"header": 0, "body": 5, "footer": -1}
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def logged_kinds(log):
+    """The record types in a log, a plan record's as "plan <outcome>"."""
+    kinds = set()
+    for line in log:
+        record = json.loads(line)
+        kind = record["type"]
+        kinds.add(f"plan {record['outcome']}" if kind == "plan" else kind)
+    return kinds
 
 
 class TestConfigValidation:
@@ -92,6 +106,24 @@ class TestRunMatch:
         _, l1 = run_match(small_config())
         _, l2 = run_match(small_config(seed=12))
         assert log_digest(l1) != log_digest(l2)
+
+    def test_same_digest_under_two_hash_seeds(self):
+        # String hashing is salted per process: a match that iterated a set
+        # of strings would log another order under another PYTHONHASHSEED.
+        code = (
+            "from torusarena.harness import PRESETS, MatchConfig, run_match\n"
+            "cfg = MatchConfig(steps=60, seed=0, opponent='greedy-courier', **PRESETS['r1'])\n"
+            "print(run_match(cfg)[1][-1])\n"
+        )
+        footers = set()
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            footers.add(done.stdout.strip())
+        assert len(footers) == 1, footers
+        assert json.loads(footers.pop())["type"] == "footer"
 
     def test_report_counters_match_log(self):
         report, log = run_match(small_config())
@@ -190,6 +222,24 @@ class TestReplay:
             "26cf9f7f96dfec39f6ae665b2cc214f27050cb4f3366cfb49fd794b0d65583a2"
         )
         assert report.tasks_completed["alpha"] >= 1 and report.cache_misses > 0
+        # The report a match counts as it writes its log is the one replay
+        # counts from the log, cold and then warm on the same cache.
+        assert replay(log) == report
+        warm_report, warm_log = run_match(cfg)
+        assert replay(warm_log) == warm_report
+        assert warm_report.cache_hits > 0
+        assert {
+            "plan hit", "plan miss", "task_completed", "cartography_finished", "merge",
+            "identification",
+        } <= logged_kinds(log) | logged_kinds(warm_log)
+
+    def test_uncached_match_report_equals_its_replay(self):
+        # With no cache directory every plan is a direct solve.
+        cfg = MatchConfig(steps=150, seed=0, opponent="greedy-courier", **PRESETS["r1"])
+        report, log = run_match(cfg)
+        assert "plan solve" in logged_kinds(log)
+        assert report.planner_invocations > 0
+        assert replay(log) == report
 
     @pytest.mark.parametrize(
         "preset,seed,steps,digest",

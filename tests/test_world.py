@@ -494,10 +494,10 @@ class TestPerceptsAgainstReference:
         for name in names:
             assert got[name] == reference_percept(world, name), name
 
-    # (5, 9): the diamond wraps onto the agent's own cell at (+-5, 0).
-    # (9, 9) and (10, 7): it wraps, so cells are seen at two offsets.
-    @pytest.mark.parametrize("dims", [(5, 9), (9, 9), (10, 7), (16, 12)])
-    def test_seeded_worlds_with_blocks_and_clear_events(self, dims):
+    def drive_couriers(self, dims, steps):
+        """A seeded world of couriers, its percepts checked against the
+        reference before every step. Returns the world, the block-steps
+        held and the steps that followed a clear event."""
         cfg = WorldConfig(
             dims=dims,
             teams={"alpha": 4, "beta": 3},
@@ -513,18 +513,38 @@ class TestPerceptsAgainstReference:
         alpha = [n for n in sorted(w.agents) if w.agents[n].team == "alpha"]
         held = after_clear = 0
         cleared = False
-        for step in range(60):
+        for step in range(steps):
             self.assert_percepts_are_the_reference(w, sorted(w.agents))
             held += sum(len(a.held) for a in w.agents.values())
             after_clear += cleared
             percepts, events = w.step(couriers.act(w, step), alpha)
             assert list(percepts) == alpha
             cleared = any(e["type"] == "clear_event" for e in events)
+        self.assert_percepts_are_the_reference(w, sorted(w.agents))
+        return w, held, after_clear
+
+    # (5, 9): the diamond wraps onto the agent's own cell at (+-5, 0).
+    # (9, 9) and (10, 7): it wraps, so cells are seen at two offsets.
+    @pytest.mark.parametrize("dims", [(5, 9), (9, 9), (10, 7), (16, 12)])
+    def test_seeded_worlds_with_blocks_and_clear_events(self, dims):
+        w, held, after_clear = self.drive_couriers(dims, 60)
         assert held and after_clear
         if dims[0] <= 5:
             me = percept_of(w, "alpha01")
             assert Thing((5, 0), "entity", "alpha") in me.things
             assert Thing((-5, 0), "entity", "alpha") in me.things
+
+    # A height of at most VISION_RADIUS: a column of the diamond spans the
+    # grid's rows more than once (twice and more on heights 3, 2 and 4),
+    # and sides of 2-4 do the same across columns.
+    @pytest.mark.parametrize("dims", [(9, 5), (16, 3), (4, 4), (7, 2), (2, 9)])
+    def test_tiny_grids(self, dims):
+        w, _, after_clear = self.drive_couriers(dims, 40)
+        assert after_clear
+        me = percept_of(w, "alpha01")
+        seen = [off for off, _ in me.terrain] + [t.offset for t in me.things]
+        cells = {wrap(*add(w.agents["alpha01"].pos, off), w.dims) for off in seen}
+        assert len(cells) < len(seen), "no cell seen at two offsets"
 
     def test_agents_on_dispensers_with_held_blocks(self):
         w = scripted_world(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record a before/after benchmark trajectory file.
 
-    python3 tools/bench_record.py --base REV --out BENCH_<n>.json
+    python3 tools/bench_record.py --base REV --out BENCH_<n>.json [--anchor OLD]
 
 Exports the base revision (`git archive`) and the working tree (tracked and
 untracked, not ignored files) into temporary directories and runs, in each,
@@ -10,6 +10,14 @@ the tier-1 suite once and `bench/run.py` for every workload that
 alternating which side runs first, then one traced run per side. Every run's
 final JSON line is stored as printed, and each end-to-end metric gets its
 median and quartiles per side and the number of pairs the working tree won.
+
+With `--anchor OLD` a third side runs the working tree's `bench/` and
+`BENCHMARK.json` over OLD's `src`, in the same alternation (first in one
+round, last in the next; it gets no tier-1 run, since today's tests need
+not fit an old program). Each metric then also gets the change/anchor and
+base/anchor ratios of the medians. A pinned anchor measured in every file
+turns files recorded on different days into one trajectory: the ratios
+cancel the machine's drift that the raw medians carry.
 
 Each side is named by the git tree ids of its `src`, `bench` and `tests`
 directories, so a committed working tree can be found again (`git rev-parse
@@ -57,8 +65,11 @@ def worktree_trees() -> dict[str, str]:
         return {d: run("write-tree", f"--prefix={d}/").strip() for d in MEASURED}
 
 
-def export_revision(rev: str, dest: Path) -> None:
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
+def export_revision(rev: str, dest: Path, *paths: str) -> None:
+    """REV's files (only those under `paths`, when given) into `dest`."""
+    archive = subprocess.run(
+        ["git", "archive", rev, *paths], cwd=ROOT, check=True, capture_output=True
+    )
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
@@ -104,16 +115,20 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict:
     out = {}
     for metric in spec:
         name, better = metric["name"], metric["better"]
-        base = [r["metrics"][name]["value"] for r in runs["base"]]
-        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
+        base, change = values["base"], values["change"]
         wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
         out[name] = {
             "unit": metric["unit"],
             "better": better,
-            "base": quartiles(base),
-            "change": quartiles(change),
+            **{side: quartiles(v) for side, v in values.items()},
             "change_wins": f"{wins}/{len(base)}",
         }
+        if "anchor" in values:
+            anchor = out[name]["anchor"]["median"]
+            for side in ("change", "base"):
+                ratio = round(out[name][side]["median"] / anchor, 4) if anchor else None
+                out[name][f"{side}_over_anchor"] = ratio
     return out
 
 
@@ -121,6 +136,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare the working tree with")
     ap.add_argument("--out", required=True, help="trajectory file to write, e.g. BENCH_10.json")
+    ap.add_argument("--anchor", help="git revision whose src runs as a third side under "
+                    "the working tree's benchmark")
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -134,21 +151,32 @@ def main() -> int:
         "change": {"parent": git("rev-parse", "HEAD").strip(), "trees": worktree_trees()},
         "workloads": {},
     }
+    sides = ("base", "change")
+    if args.anchor:
+        sides += ("anchor",)
+        record["anchor"] = {
+            "revision": git("rev-parse", args.anchor).strip(),
+            "trees": {"src": revision_trees(args.anchor)["src"],
+                      "bench": record["change"]["trees"]["bench"]},
+        }
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
-        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        trees = {side: Path(tmp) / side for side in sides}
         for tree in trees.values():
             tree.mkdir()
         export_revision(args.base, trees["base"])
         export_worktree(trees["change"])
-        for side, tree in trees.items():
-            record[side]["tier1"] = tier1(tree)
+        if args.anchor:
+            export_worktree(trees["anchor"])
+            shutil.rmtree(trees["anchor"] / "src")
+            export_revision(args.anchor, trees["anchor"], "src")
+        for side in ("base", "change"):
+            record[side]["tier1"] = tier1(trees[side])
             print(f"bench_record: {side} tier-1 {record[side]['tier1']}", file=sys.stderr)
         for w in spec["workloads"]:
             name = w["name"]
-            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            runs: dict[str, list[dict]] = {side: [] for side in sides}
             for i in range(PAIRS):
-                order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                for side in order:
+                for side in sides if i % 2 == 0 else reversed(sides):
                     runs[side].append(bench(trees[side], name, i, seconds, trace=0))
                 print(f"bench_record: {name} pair {i + 1}/{PAIRS}", file=sys.stderr)
             traced = {side: bench(trees[side], name, 0, seconds, trace=1) for side in trees}
