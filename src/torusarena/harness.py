@@ -19,7 +19,7 @@ from typing import Optional
 from .plan_cache import CacheStore, classify_key
 from .team import TeamController
 from .torus import DIRECTIONS, OFFSET_DIRS, Coord, delta, torus_distance
-from .world import ACCEPT_RADIUS, Action, FixedLayout, World, WorldConfig
+from .world import ACCEPT_RADIUS, Action, FixedLayout, Task, World, WorldConfig
 
 LOG_FORMAT_VERSION = 1
 TEAM = "alpha"
@@ -149,27 +149,31 @@ class GreedyCourier:
         self.names = sorted(names)
         self.phase = {n: "to_board" for n in self.names}
         self.task = {n: None for n in self.names}
-        # Goal cells never change (clears turn only obstacles into empty
-        # cells), so the list is built on the first use and kept.
-        self.goals: Optional[list[Coord]] = None
+        # Taskboards, dispensers and goal cells never change after the world
+        # is built (a clear only empties obstacle cells). So each list of
+        # them is sorted once, under its name, and the nearest cell of a list
+        # to a cell is kept under (name, cell).
+        self.nearest: dict = {}
 
     def act(self, world: World, step: int) -> dict[str, Action]:
-        return {name: self._one(world, name) for name in self.names}
+        # The world does not change while the couriers choose.
+        tasks = world.active_tasks()
+        return {name: self._one(world, name, tasks) for name in self.names}
 
-    def _one(self, world: World, name: str) -> Action:
+    def _one(self, world: World, name: str, tasks: list[Task]) -> Action:
         me = world.agents[name]
         phase = self.phase[name]
         if phase == "to_board":
-            board = self._nearest(world, me.pos, world.taskboards)
-            if board is None or not world.active_tasks():
+            board = self._nearest(world, me.pos, "taskboards")
+            if board is None or not tasks:
                 return Action.skip()
             if torus_distance(me.pos, board, world.dims) <= ACCEPT_RADIUS:
-                self.task[name] = world.active_tasks()[0].name
+                self.task[name] = tasks[0].name
                 self.phase[name] = "to_dispenser"
                 return Action.accept(self.task[name])
             return self._march(world, me.pos, board)
         if phase == "to_dispenser":
-            disp = self._nearest(world, me.pos, world.dispensers.keys())
+            disp = self._nearest(world, me.pos, "dispensers")
             if disp is None:
                 return Action.skip()
             off = delta(me.pos, disp, world.dims)
@@ -184,16 +188,14 @@ class GreedyCourier:
             if me.held:
                 self.phase[name] = "to_goal"
             else:
-                disp = self._nearest(world, me.pos, world.dispensers.keys())
+                disp = self._nearest(world, me.pos, "dispensers")
                 off = delta(me.pos, disp, world.dims)
                 if abs(off[0]) + abs(off[1]) == 1:
                     return Action.attach(OFFSET_DIRS[off])
                 self.phase[name] = "to_dispenser"
                 return Action.skip()
         if phase == "to_goal":
-            if self.goals is None:
-                self.goals = [c for c, t in world.terrain.items() if t == "goal"]
-            goal = self._nearest(world, me.pos, self.goals)
+            goal = self._nearest(world, me.pos, "goals")
             if goal is None:
                 return Action.skip()
             if me.pos == goal:
@@ -204,13 +206,26 @@ class GreedyCourier:
             return Action.submit(self.task[name] or "")
         return Action.skip()
 
-    def _nearest(self, world: World, pos: Coord, cells) -> Optional[Coord]:
-        best = None
-        for c in sorted(cells):
-            d = torus_distance(pos, c, world.dims)
-            if best is None or d < best[0]:
-                best = (d, c)
-        return best[1] if best else None
+    def _nearest(self, world: World, pos: Coord, which: str) -> Optional[Coord]:
+        """The nearest of the world's `which` ("taskboards", "dispensers" or
+        "goals") to `pos`, the smallest cell on a tie; None when there are
+        none."""
+        key = (which, pos)
+        if key not in self.nearest:
+            cells = self.nearest.get(which)
+            if cells is None:
+                if which == "goals":
+                    cells = sorted(c for c, t in world.terrain.items() if t == "goal")
+                else:
+                    cells = sorted(getattr(world, which))
+                self.nearest[which] = cells
+            best = None
+            for c in cells:
+                d = torus_distance(pos, c, world.dims)
+                if best is None or d < best[0]:
+                    best = (d, c)
+            self.nearest[key] = best[1] if best else None
+        return self.nearest[key]
 
     def _march(self, world: World, pos: Coord, target: Coord) -> Action:
         # Straight-line movement: x axis first, then y; no pathfinding.
@@ -286,7 +301,7 @@ def play(config: MatchConfig) -> Match:
         percepts, world_events = world.step(actions, names[TEAM])
         for record in itertools.chain(team.drain_events(), world_events):
             _tally(report, record)
-            log.append(_dump(record))
+            log.append(_line(record))
     final = {
         "type": "final",
         "step": config.steps,
@@ -305,6 +320,26 @@ def run_match(config: MatchConfig) -> tuple[MatchReport, list[str]]:
 
 # `json.dumps` with keyword arguments builds a new encoder on every call.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# An action record always holds the same five keys, three of them strings
+# and the step an int, and action records are nearly every line of a log.
+# So they are written from their fixed shape, in `_dump`'s key order, with
+# the string escaping `_dump` uses; the general encoder costs several times
+# more per record.
+_ACTION_LINE = '{"action":%s,"agent":%s,"result":%s,"step":%d,"type":"action"}'
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _line(record: dict) -> str:
+    """The log line of one record: the same text as `_dump(record)`."""
+    if record["type"] == "action":
+        return _ACTION_LINE % (
+            _quote(record["action"]),
+            _quote(record["agent"]),
+            _quote(record["result"]),
+            record["step"],
+        )
+    return _dump(record)
 
 
 def log_digest(lines: list[str]) -> str:
@@ -373,6 +408,8 @@ def _tally(report: MatchReport, record: dict) -> None:
     """Count one log record into the report: the one set of counting rules,
     for a match as it writes its log and for a replay as it reads one."""
     kind = record.get("type")
+    if kind == "action":  # nearly every record, and counted by no rule
+        return
     if kind == "task_completed":
         team = record["team"]
         report.tasks_completed[team] = report.tasks_completed.get(team, 0) + 1

@@ -19,6 +19,11 @@ in the diamond is one left shift, and it stays inside the box. The
 requester's veto mask holds every bit of its diamond except those of its
 own things. The candidate matches when the moved reply ANDed with the veto
 is exactly the bit of a team entity on the centre cell.
+
+A round moves each reply once per offset: the first requester that sees a
+teammate at `off` moves the replies of every responder that sees one at
+-off, and every later requester with a sighting at `off` tests those moved
+replies against its own veto.
 """
 
 from __future__ import annotations
@@ -75,11 +80,13 @@ class ThingBits:
         mask), in requester layout."""
         return self.diamond & ~(mask << self.home)
 
-    def matches_at(self, veto: int, reply: int, shift: int) -> bool:
-        """True iff the responder whose reply mask is `reply` could be the
-        teammate seen at offset `off`, by the requester whose veto mask is
-        `veto`; `shift` is `cell_bits[off]`, which moves a reply by `off`."""
-        return (reply << shift) & veto == self.centre
+    def candidates(self, veto: int, moved: list[tuple[str, int]]) -> list[str]:
+        """The responders, in the order of `moved`, that could be the teammate
+        a requester with veto mask `veto` sees at offset `off`; `moved` pairs
+        each responder with its reply mask moved by `off` (shifted left by
+        `cell_bits[off]`)."""
+        centre = self.centre
+        return [name for name, reply in moved if reply & veto == centre]
 
 
 @functools.cache
@@ -126,20 +133,25 @@ def identification_round(
     for responder in seeing:
         for off in sightings[responder]:
             seen_at.setdefault(off, []).append(responder)
+    # Each offset's responders, `seen_at[neg(off)]`, with their replies
+    # moved by `off`: built for the first requester with a sighting at
+    # `off`, and tested again by every later one.
+    moved: dict[Offset, list[tuple[str, int]]] = {}
     for name in seeing:
         stats.broadcasts += 1  # one broadcast per agent per step
         stats.replies += len(percepts) - 1
         veto = bits.veto(replies[name])
         for off in sightings[name]:
+            at = moved.get(off)
+            if at is None:
+                shift = bits.cell_bits[off]
+                at = moved[off] = [(r, replies[r] << shift) for r in seen_at.get(neg(off), ())]
             # A responder matching at several offsets stays a candidate at
             # each of them; discarding it could leave a wrong unique
             # candidate standing at the true offset.
-            shift = bits.cell_bits[off]  # moves a reply by `off`
-            candidates = [
-                responder
-                for responder in seen_at.get(neg(off), ())
-                if responder != name and bits.matches_at(veto, replies[responder], shift)
-            ]
+            candidates = bits.candidates(veto, at)
+            if name in candidates:
+                candidates.remove(name)
             if len(candidates) == 1:
                 events.append(Identification(name, candidates[0], off, step))
                 stats.identifications += 1

@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import scripted_world
 from torusarena.cli import main as cli_main
 from torusarena.harness import (
     OPPONENTS,
@@ -14,6 +16,8 @@ from torusarena.harness import (
     MatchConfig,
     MatchConfigError,
     ReplayError,
+    _dump,
+    _line,
     cache_stats,
     log_digest,
     play,
@@ -21,6 +25,7 @@ from torusarena.harness import (
     run_match,
 )
 from torusarena.mapping import dump_map
+from torusarena.torus import torus_distance
 from torusarena.world import World, WorldConfig
 
 
@@ -287,11 +292,83 @@ class TestOpponents:
         assert world.agents["beta01"].pos == (10, 10)
         assert world.agents["beta01"].held
 
+    def test_courier_nearest_cell_is_kept_and_breaks_ties_by_cell(self):
+        # Boards (1, 1) and (5, 1) are equidistant from (3, 1); (1, 1) and
+        # (3, 5) are equidistant from (8, 4), both across the wrap of the
+        # 9-column grid.
+        boards = [(5, 1), (1, 1), (3, 5)]
+        world = scripted_world(
+            9,
+            7,
+            {"beta": [(0, 3)]},
+            obstacles=[(4, 3), (5, 3), (6, 3), (4, 4), (6, 5)],
+            goals=[(7, 6), (8, 6), (2, 3)],
+            dispensers=[((7, 0), "b1"), ((0, 5), "b2")],
+            taskboards=boards,
+            tasks=[(0, "t", 1, 200, [((0, 1), "b1")])],
+            clear_event_rate=1.0,
+        )
+        courier = GreedyCourier(["beta01"], 0)
+        cells = {
+            "taskboards": world.taskboards,
+            "dispensers": world.dispensers.keys(),
+            "goals": [c for c, t in world.terrain.items() if t == "goal"],
+        }
+
+        def check_every_cell():
+            for which, of in cells.items():
+                for x in range(9):
+                    for y in range(7):
+                        fresh = min(sorted(of), key=lambda c: torus_distance((x, y), c, world.dims))
+                        assert courier._nearest(world, (x, y), which) == fresh, (which, x, y)
+
+        assert courier._nearest(world, (3, 1), "taskboards") == (1, 1)
+        assert courier._nearest(world, (8, 4), "taskboards") == (1, 1)
+        check_every_cell()
+        obstacles = world.terrain.copy()
+        for step in range(40):
+            world.step(courier.act(world, step), ())
+            if world.terrain != obstacles:
+                break
+        assert world.terrain != obstacles, "a clear event must have removed an obstacle"
+        check_every_cell()
+
     def test_random_walk_deterministic(self):
         cfg = small_config(opponent="random-walk")
         _, l1 = run_match(cfg)
         _, l2 = run_match(cfg)
         assert log_digest(l1) == log_digest(l2)
+
+
+# Every character class the JSON encoder escapes differently: quotes,
+# backslashes, control characters, DEL, non-ASCII text and astral or lone
+# surrogate code points.
+AWKWARD = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\x08\u00e9\u2028\ud800\U0001f600'),
+        st.characters(codec=None),
+    )
+)
+
+
+class TestLogLines:
+    @given(AWKWARD, AWKWARD, AWKWARD, st.integers(0, 10**6))
+    @example('say "hi" \\ \x01', "\u00e9t\u00e9", "failed:\U0001f600", 0)
+    def test_action_line_equals_the_general_encoder(self, action, agent, result, step):
+        record = {"step": step, "type": "action", "agent": agent, "action": action, "result": result}
+        assert _line(record) == _dump(record)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"type": "header", "format": 1, "seed": 3, "config_hash": "ab"},
+            {"step": 4, "type": "merge", "team": "alpha", "winner": "alpha01", "members": ["\u00e9", 'q"']},
+            {"step": 9, "type": "clear_completed", "agent": "alpha02", "cell": [1, 2], "removed": []},
+            {"type": "final", "step": 10, "scores": {"alpha": 0, "beta": 40}},
+        ],
+    )
+    def test_other_records_go_through_the_general_encoder(self, record):
+        assert _line(record) == _dump(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class TestCacheStats:

@@ -30,7 +30,8 @@ def fig1_world():
 def matches_at(mine, reply, offset, team):
     """The round's bitmask test for one requester, reply and offset."""
     bits = ThingBits(team, (mine, reply))
-    return bits.matches_at(bits.veto(bits.mask(mine)), bits.mask(reply), bits.cell_bits[offset])
+    moved = [("responder", bits.mask(reply) << bits.cell_bits[offset])]
+    return bits.candidates(bits.veto(bits.mask(mine)), moved) == ["responder"]
 
 
 class TestMatchCandidate:

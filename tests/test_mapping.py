@@ -324,11 +324,12 @@ def cartography_cases(count):
     ]
 
 
-@pytest.mark.parametrize("side,along0,perp,pattern,delay,dimension", cartography_cases(240))
-def test_cartography_pair_measures_the_side_or_aborts(side, along0, perp, pattern, delay, dimension):
-    blocked = BLOCKED[pattern](side)
-    track = pair_track(side, along0, blocked, 4 * side)
-    lost = set(resight_window(track, perp)[:delay])
+def drive_pair(side, along0, perp, blocked, lost, dimension, steps):
+    """Drive the live cartography machine over `steps` steps of the pair's
+    walk, losing the sightings at the steps in `lost`. Returns the store and
+    the first event after the adoption, as (kind, payload), or None when the
+    pair neither finished nor aborted."""
+    track = pair_track(side, along0, blocked, steps)
     store = MapStore(["a", "b"])
     carto = Cartography(store)
     if dimension == "vertical":
@@ -344,19 +345,42 @@ def test_cartography_pair_measures_the_side_or_aborts(side, along0, perp, patter
                 "dimension": dimension, "pair": ["a", "b"], "initial_distance": along0,
             })]
         elif events:
-            (kind, payload), *adopted = events  # the pair may be adopted again at once
+            first, *adopted = events  # the pair may be adopted again at once
             assert [k for k, _ in adopted] in ([], ["cartography_started"])
-            break
-        for agent, steps in zip("ab", blocked):
-            if t not in steps:
+            return store, first
+        for agent, steps_blocked in zip("ab", blocked):
+            if t not in steps_blocked:
                 carto.moved(agent)
-    else:
-        pytest.fail("the pair neither finished nor aborted")
+    return store, None
+
+
+@pytest.mark.parametrize("side,along0,perp,pattern,delay,dimension", cartography_cases(240))
+def test_cartography_pair_measures_the_side_or_aborts(side, along0, perp, pattern, delay, dimension):
+    blocked = BLOCKED[pattern](side)
+    track = pair_track(side, along0, blocked, 4 * side)
+    lost = set(resight_window(track, perp)[:delay])
+    store, outcome = drive_pair(side, along0, perp, blocked, lost, dimension, 4 * side)
+    assert outcome is not None, "the pair neither finished nor aborted"
+    kind, payload = outcome
     if kind == "cartography_finished":
         assert payload["size"] == side
         assert store.dims == (Dims(40, side) if dimension == "vertical" else None)
     else:
         assert kind == "cartography_aborted"
+
+
+@pytest.mark.xfail(
+    reason=(
+        "on a side of 2*VISION_RADIUS+2 with perpendicular offset 0 and an odd start distance "
+        "the pair never loses sight, so it never closes: the side-12 FOUND line in CHANGES.md"
+    ),
+    strict=True,
+)
+def test_side_12_pair_that_never_loses_sight_finishes_or_aborts():
+    side = 2 * VISION_RADIUS + 2
+    assert resight_window(pair_track(side, 1, ((), ()), 200), 0) is None
+    _, outcome = drive_pair(side, 1, 0, ((), ()), set(), "horizontal", 200)
+    assert outcome is not None, "the pair neither finished nor aborted in 200 steps"
 
 
 def test_dump_map_shape():

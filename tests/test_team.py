@@ -349,13 +349,15 @@ class TestBuildingBeforeGoalsKnown:
 
     BOARD = (19, 6)  # seen one step before the goal cells east of it
 
-    def test_groups_explore_then_take_the_cluster_in_view(self):
+    def merged_team(self, board):
+        """Four agents in one frame group, exploring east towards the goal
+        cells, with the taskboard at `board`."""
         w = scripted_world(
             30,
             30,
             {"alpha": [(5, 5), (6, 5), (5, 6), (6, 6)]},
             goals=[(21, 5), (22, 5), (21, 6)],
-            taskboards=[self.BOARD],
+            taskboards=[board],
             dispensers=[((3, 20), "b1")],
         )
         names = sorted(w.agents)
@@ -366,6 +368,10 @@ class TestBuildingBeforeGoalsKnown:
             team.store.leaders[n] = names[0]
             team.store.offsets[n] = sub(w.spawns[n], lead)
             team.runtimes[n].explore_dir = "e"
+        return w, names, team, lead
+
+    def test_groups_explore_then_take_the_cluster_in_view(self):
+        w, names, team, lead = self.merged_team(self.BOARD)
         explored = []
         explorer_policy = team._explorer_policy
 
@@ -397,6 +403,22 @@ class TestBuildingBeforeGoalsKnown:
             assert w.terrain[wrap(*add(group.anchor, lead), w.dims)] == "goal"
             assert group.taskboard == board
         assert explored == [], "with an anchor and a taskboard nobody explores"
+
+    @pytest.mark.xfail(
+        reason=(
+            "a group whose goal cluster comes into view before any taskboard never gets one: "
+            "the FOUND line on _group_coordination and _assign_clusters in CHANGES.md"
+        ),
+        strict=True,
+    )
+    def test_a_board_beyond_the_goals_reaches_every_group(self):
+        w, names, team, lead = self.merged_team((23, 6))
+        percepts = w.percepts(names)
+        for step in range(300):
+            percepts, _ = w.step(team.act(percepts, step), names)
+        board = wrap(*sub((23, 6), lead), w.dims)
+        assert board in team.store.merged_view(names[0]).taskboards
+        assert [g.taskboard for g in team.groups] == [board] * len(team.groups)
 
 
 class TestRequirementOrdering:
