@@ -3,9 +3,13 @@ and the cartography machine that discovers the torus dimensions.
 
 Every agent anchors its own frame at its start cell. Merging never rewrites
 map contents: it only updates the shared group table (leader plus frame
-offset per agent), and every team-level read translates member maps through
-that table on the fly. The merge choreography itself is executed by the
-shared protocol engine, one serialized instance per sighting.
+offset per agent), and a team-level read translates member maps through
+that table. The translated union is kept per leader, with the addition
+counts of the member maps it was built from; it is rebuilt when a member's
+map has gained an entry since (`record_statics` and `normalize` count
+them), and every kept view is dropped by a merge and by `set_dims`. The
+merge choreography itself is executed by the shared protocol engine, one
+serialized instance per sighting.
 
 `Cartography` owns the cartographer pairs (at most one per dimension) and
 the sides they measured; when the second side is measured it hands the grid
@@ -36,6 +40,9 @@ class LocalMap:
     goals: set[Coord] = field(default_factory=set)
     taskboards: set[Coord] = field(default_factory=set)
     dims: Optional[Dims] = None
+    # Bumped by each change to the entries, so a kept merged view can tell
+    # whether this map changed since it was built.
+    additions: int = 0
 
     def _norm(self, c: Coord) -> Coord:
         return wrap(*c, self.dims) if self.dims else c
@@ -48,6 +55,7 @@ def record_statics(local: LocalMap, percept: Percept) -> LocalMap:
     """Fold the static entities of one percept into the map. Dynamic things
     (agents, blocks, obstacles) are deliberately not remembered."""
     base = local.self_pos
+    size = len(local.dispensers) + len(local.goals) + len(local.taskboards)
     for thing in percept.things:
         if thing.kind == "dispenser":
             local.dispensers.add((local._norm(add(base, thing.offset)), thing.detail))
@@ -56,6 +64,8 @@ def record_statics(local: LocalMap, percept: Percept) -> LocalMap:
             local.goals.add(local._norm(add(base, off)))
     for off in percept.taskboards:
         local.taskboards.add(local._norm(add(base, off)))
+    if len(local.dispensers) + len(local.goals) + len(local.taskboards) != size:
+        local.additions += 1
     return local
 
 
@@ -67,6 +77,7 @@ def normalize(local: LocalMap, dims: Dims) -> LocalMap:
     local.dispensers = {(wrap(*c, dims), t) for c, t in local.dispensers}
     local.goals = {wrap(*c, dims) for c in local.goals}
     local.taskboards = {wrap(*c, dims) for c in local.taskboards}
+    local.additions += 1
     return local
 
 
@@ -100,11 +111,11 @@ class MergeRecord:
     transcript: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MergedView:
-    dispensers: set[tuple[Coord, str]]
-    goals: set[Coord]
-    taskboards: set[Coord]
+    dispensers: frozenset[tuple[Coord, str]]
+    goals: frozenset[Coord]
+    taskboards: frozenset[Coord]
 
     def dispensers_of(self, block_type: str) -> set[Coord]:
         return {c for c, t in self.dispensers if t == block_type}
@@ -120,6 +131,8 @@ class MapStore:
         self.leaders = {a: a for a in self.agents}
         self.offsets: dict[str, Vec] = {a: (0, 0) for a in self.agents}
         self.dims: Optional[Dims] = None
+        # leader -> (members, their maps' addition counts, merged view)
+        self._views: dict[str, tuple[list[str], list[int], MergedView]] = {}
 
     # ------------------------------------------------------------- structure
 
@@ -143,14 +156,24 @@ class MapStore:
     # ----------------------------------------------------------------- reads
 
     def merged_view(self, agent: str) -> MergedView:
-        """All static entities known to the agent's group, in leader frame."""
+        """All static entities known to the agent's group, in leader frame:
+        the kept view while no member's map has changed since it was built."""
         leader = self.leaders[agent]
-        view = MergedView(set(), set(), set())
-        for m in self.group_members(leader):
-            local = self.maps[m]
-            view.dispensers |= {(self.to_leader(m, c), t) for c, t in local.dispensers}
-            view.goals |= {self.to_leader(m, c) for c in local.goals}
-            view.taskboards |= {self.to_leader(m, c) for c in local.taskboards}
+        maps = self.maps
+        kept = self._views.get(leader)
+        if kept is not None:
+            members, counts, view = kept
+            if [maps[m].additions for m in members] == counts:
+                return view
+        members = self.group_members(leader)
+        dispensers, goals, taskboards = set(), set(), set()
+        for m in members:
+            local = maps[m]
+            dispensers |= {(self.to_leader(m, c), t) for c, t in local.dispensers}
+            goals |= {self.to_leader(m, c) for c in local.goals}
+            taskboards |= {self.to_leader(m, c) for c in local.taskboards}
+        view = MergedView(frozenset(dispensers), frozenset(goals), frozenset(taskboards))
+        self._views[leader] = (members, [maps[m].additions for m in members], view)
         return view
 
     # ---------------------------------------------------------------- merges
@@ -172,12 +195,14 @@ class MapStore:
         before = set(self.group_members(winner))
         self.leaders = dict(final.leaders)
         self.offsets = dict(final.offsets)
+        self._views.clear()
         absorbed = tuple(a for a in self.group_members(winner) if a not in before)
         self.check_one_leader()
         return MergeRecord(s, winner, absorbed, tuple(transcript))
 
     def set_dims(self, dims: Dims) -> None:
         self.dims = dims
+        self._views.clear()
         for m in self.maps.values():
             normalize(m, dims)
 

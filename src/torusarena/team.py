@@ -112,32 +112,25 @@ class TaskGroup:
     next_deliverer: Optional[str] = None
     swap_phase: str = "none"  # none | detached | entered | attached
 
-    def requirement_list(self) -> list[tuple[Offset, str]]:
-        """Requirements ordered so each block is cardinally adjacent to the
-        agent cell or an earlier block: connects must grow the structure."""
-        if self.active_task is None:
-            return []
-        remaining = {off: bt for off, bt in self.active_task.requirements}
-        frontier = {(0, 0)}
-        ordered: list[tuple[Offset, str]] = []
-        while remaining:
-            ready = sorted(
-                off
-                for off in remaining
-                if any(add(off, c) in frontier for c in CARDINALS)
-            )
-            if not ready:  # disconnected requirements: append by position
-                ready = sorted(remaining)
-            nxt = min(ready, key=lambda o: (o[1], o[0]))
-            ordered.append((nxt, remaining.pop(nxt)))
-            frontier.add(nxt)
-        return ordered
+    # ((active_task, anchor, dims), connect order, structure cells) of the
+    # last structure_cells call: both change only with the task or the anchor.
+    _structure: tuple = field(
+        default=((None, None, None), (), frozenset()), init=False, repr=False, compare=False
+    )
 
-    def structure_cells(self, dims: Dims) -> set[Coord]:
+    def requirement_list(self) -> tuple[tuple[Offset, str], ...]:
+        """The active task's `connect_order`: connects must grow the structure."""
+        (task, _anchor, _dims), order, _cells = self._structure
+        return order if task == self.active_task else connect_order(self.active_task)
+
+    def structure_cells(self, dims: Dims) -> frozenset[Coord]:
         """The anchor and every cell the active task's blocks occupy."""
-        return {self.anchor} | {
-            wrap(*add(self.anchor, off), dims) for off, _bt in self.requirement_list()
-        }
+        key = (self.active_task, self.anchor, dims)
+        if self._structure[0] != key:
+            order = self.requirement_list()
+            cells = {self.anchor, *(wrap(*add(self.anchor, off), dims) for off, _bt in order)}
+            self._structure = (key, order, frozenset(cells))
+        return self._structure[2]
 
 
 @dataclass
@@ -823,6 +816,28 @@ class TeamController:
 
 
 # ------------------------------------------------------------------ helpers
+
+
+def connect_order(task: Optional[Task]) -> tuple[tuple[Offset, str], ...]:
+    """A task's requirements ordered so each block is cardinally adjacent to
+    the agent cell or an earlier block."""
+    if task is None:
+        return ()
+    remaining = {off: bt for off, bt in task.requirements}
+    frontier = {(0, 0)}
+    ordered: list[tuple[Offset, str]] = []
+    while remaining:
+        ready = sorted(
+            off
+            for off in remaining
+            if any(add(off, c) in frontier for c in CARDINALS)
+        )
+        if not ready:  # disconnected requirements: append by position
+            ready = sorted(remaining)
+        nxt = min(ready, key=lambda o: (o[1], o[0]))
+        ordered.append((nxt, remaining.pop(nxt)))
+        frontier.add(nxt)
+    return tuple(ordered)
 
 
 def bottom_most(cells) -> Coord:

@@ -3,12 +3,17 @@ actions, clear mechanics, tasks and scoring, all driven by one seeded RNG.
 
 Percepts are immutable snapshots of the 61-cell diamond around an agent and
 never leak agent identities, only team names; they are built only for the
-agents a caller names. A percept visits only the diamond's marked cells:
-once per `percepts` call, every cell that may hold something (a fixture, a
-block or an agent) sets bit `y` of its column's int, repeated round the
-torus so that one shift and one mask cut any column of the diamond out of
-it. Actions are applied in ascending agent-name order, which doubles as the
-conflict-resolution rule: the lower name wins a contested cell.
+agents a caller names. A percept visits only the diamond's marked cells: a
+marked cell sets bit `y` of its column's int, repeated round the torus so
+that one shift and one mask cut any column of the diamond out of it. The
+fixed cells (goals, obstacles, taskboards) are marked once, when the world
+is built, and the terrain and taskboards a diamond holds are cached per
+agent cell on first use; a clear that empties an obstacle is the one event
+that changes them, and it drops the views of every cell whose diamond holds
+the cleared cell. The cells that may hold a thing (a dispenser, a block or
+an agent) are marked once per `percepts` call. Actions are applied in
+ascending agent-name order, which doubles as the conflict-resolution rule:
+the lower name wins a contested cell.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Collection, Iterable, NamedTuple, Optional
 
 from .torus import (
     CARDINALS,
+    DIAMOND,
     DIR_OFFSETS,
     VISION_RADIUS,
     Coord,
@@ -52,12 +58,25 @@ ACCEPT_RADIUS = 2  # distance to a task board from which a task can be accepted
 CLEAR_EVENT_RADIUS = 2  # radius of the diamond an area clear event empties
 
 # The vision diamond as its columns, west to east: (dx, half-height, mask of
-# the column's 2 * half-height + 1 rows). Walking them in this order, each
-# from north to south, visits the offsets in sorted order.
+# the column's 2 * half-height + 1 rows, the rows' offsets north to south,
+# and per terrain kind the rows' (offset, kind) pairs, which every cached
+# view shares). Walking them in this order, each from north to south,
+# visits the offsets in sorted order.
 _DIAMOND_COLUMNS = tuple(
-    (dx, VISION_RADIUS - abs(dx), (1 << 2 * (VISION_RADIUS - abs(dx)) + 1) - 1)
+    (
+        dx,
+        span,
+        (1 << 2 * span + 1) - 1,
+        rows,
+        {kind: tuple((off, kind) for off in rows) for kind in (GOAL, OBSTACLE)},
+    )
     for dx in range(-VISION_RADIUS, VISION_RADIUS + 1)
+    for span in (VISION_RADIUS - abs(dx),)
+    for rows in (tuple((dx, dy) for dy in range(-span, span + 1)),)
 )
+
+# A diamond's terrain and taskboards: what a percept sees that only clears change.
+FixedView = tuple[tuple[tuple[Offset, str], ...], tuple[Offset, ...]]
 
 
 class Thing(NamedTuple):
@@ -244,10 +263,19 @@ class World:
         # Occupant index: cell -> the agent standing there. Written only by
         # _spawn_agent and _move_structure, the only places a position changes.
         self._occupant: dict[Coord, AgentState] = {}
-        # Every cell built with terrain, a dispenser or a taskboard. A clear
-        # only ever empties a cell, so this stays a superset of the cells
-        # that hold one; a percept looks at no other fixed cell.
-        self._fixtures: set[Coord] = set()
+        # Bit y of column x marks cell (x, y). Each column is repeated
+        # `copies` times on either side, at multiples of h, so rows
+        # py - R .. py + R sit at bits py - R + copies * h upwards for any
+        # py, even when the diamond wraps onto itself.
+        copies = -(-VISION_RADIUS // self.dims.h)
+        self._repeat = sum(1 << k * self.dims.h for k in range(2 * copies + 1))
+        self._middle = copies * self.dims.h
+        # The repeated columns of the cells with a goal, an obstacle or a
+        # taskboard; _clear_cell is their one writer after _build.
+        self._fixed: list[int] = []
+        # Agent cell -> the diamond's (terrain, taskboards), built from the
+        # fixed columns on first use and dropped by _clear_cell.
+        self._views: dict[Coord, FixedView] = {}
         self.tasks: dict[str, Task] = {}
         self.scores: dict[str, int] = {t: 0 for t in sorted(config.teams)}
         self.spawns: dict[str, Coord] = {}
@@ -345,7 +373,10 @@ class World:
         self.taskboards = {wrap(*c, dims) for c in layout.taskboards}
         for c, btype in layout.dispensers:
             self.dispensers[wrap(*c, dims)] = btype
-        self._fixtures = goals | obstacles | self.taskboards | self.dispensers.keys()
+        fixed = [0] * dims.w
+        for x, y in goals | obstacles | self.taskboards:
+            fixed[x] |= 1 << y
+        self._fixed = [c * self._repeat for c in fixed]
 
         names = self.config.agent_names()
         total = sum(len(v) for v in names.values())
@@ -399,46 +430,36 @@ class World:
     def percepts(self, names: Iterable[str]) -> dict[str, Percept]:
         """Percepts of the named agents, in the given order."""
         tasks = tuple(self.active_tasks())
-        w, h = self.dims
-        # Bit y of column x marks cell (x, y). Each column is repeated
-        # `copies` times on either side, at multiples of h, so rows
-        # py - R .. py + R sit at bits py - R + copies * h upwards for any
-        # py, even when the diamond wraps onto itself.
-        marked = [0] * w
-        for cells in (self._fixtures, self.blocks, self._occupant):
+        marked = [0] * self.dims.w
+        for cells in (self.dispensers, self.blocks, self._occupant):
             for x, y in cells:
                 marked[x] |= 1 << y
-        copies = -(-VISION_RADIUS // h)
-        repeat = sum(1 << k * h for k in range(2 * copies + 1))
+        repeat = self._repeat
         columns = [c * repeat for c in marked]
         out = {}
         for name in names:
             if name not in self.agents:
                 raise KeyError(f"unknown agent {name!r}")
-            out[name] = self._percept(self.agents[name], tasks, columns, copies * h)
+            out[name] = self._percept(self.agents[name], tasks, columns)
         return out
 
-    def _percept(
-        self, me: AgentState, tasks: tuple[Task, ...], columns: list[int], middle: int
-    ) -> Percept:
+    def _percept(self, me: AgentState, tasks: tuple[Task, ...], columns: list[int]) -> Percept:
         things: list[Thing] = []
-        terrain: list[tuple[Offset, str]] = []
-        boards: list[Offset] = []
         px, py = me.pos
         w, h = self.dims
+        middle = self._middle
         occupant, blocks, dispensers = self._occupant, self.blocks, self.dispensers
-        cells, taskboards = self.terrain, self.taskboards
         # Columns west to east, each column's marked rows north to south, and
-        # a cell's things in kind order, so all three lists come out sorted.
-        for dx, span, mask in _DIAMOND_COLUMNS:
+        # a cell's things in kind order, so the list comes out sorted.
+        for dx, span, mask, rows, _pairs in _DIAMOND_COLUMNS:
             x = (px + dx) % w
             window = (columns[x] >> (py - span + middle)) & mask
             while window:
                 low = window & -window
                 window ^= low
-                dy = low.bit_length() - 1 - span
-                off = (dx, dy)
-                cell = (x, (py + dy) % h)
+                row = low.bit_length() - 1
+                off = rows[row]
+                cell = (x, (py + row - span) % h)
                 block = blocks.get(cell)
                 if block is not None:
                     things.append(Thing(off, "block", block))
@@ -452,20 +473,42 @@ class World:
                     other = occupant.get(cell)
                     if other is not None:
                         things.append(Thing(off, "entity", other.team))
-                t = cells[cell]
-                if t != EMPTY:
-                    terrain.append((off, t))
-                if cell in taskboards:
-                    boards.append(off)
+        view = self._views.get(me.pos)
+        if view is None:
+            view = self._views[me.pos] = self._fixed_view(me.pos)
         return Percept(
             self_energy=me.energy,
             self_attached=tuple(me.attached_offsets(self)),
             things=tuple(things),
-            terrain=tuple(terrain),
-            taskboards=tuple(boards),
+            terrain=view[0],
+            taskboards=view[1],
             tasks=tasks,
             last_action_result=me.last_result,
         )
+
+    def _fixed_view(self, pos: Coord) -> FixedView:
+        """The sorted terrain and taskboards of the diamond around `pos`,
+        walking the fixed columns' marked cells."""
+        terrain: list[tuple[Offset, str]] = []
+        boards: list[Offset] = []
+        px, py = pos
+        w, h = self.dims
+        fixed, middle = self._fixed, self._middle
+        cells, taskboards = self.terrain, self.taskboards
+        for dx, span, mask, rows, pairs in _DIAMOND_COLUMNS:
+            x = (px + dx) % w
+            window = (fixed[x] >> (py - span + middle)) & mask
+            while window:
+                low = window & -window
+                window ^= low
+                row = low.bit_length() - 1
+                cell = (x, (py + row - span) % h)
+                kind = cells[cell]
+                if kind != EMPTY:
+                    terrain.append(pairs[kind][row])
+                if cell in taskboards:
+                    boards.append(rows[row])
+        return tuple(terrain), tuple(boards)
 
     # ------------------------------------------------------------------- step
 
@@ -810,6 +853,15 @@ class World:
         if self.terrain[cell] == OBSTACLE:
             self.terrain[cell] = EMPTY
             removed.append("obstacle")
+            x, y = cell
+            if cell not in self.taskboards:
+                self._fixed[x] &= ~(self._repeat << y)
+            # The diamond is symmetric: the cells that see `cell` are those
+            # it sees. On a side of at most VISION_RADIUS some repeat.
+            w, h = self.dims
+            views = self._views
+            for dx, dy in DIAMOND:
+                views.pop(((x + dx) % w, (y + dy) % h), None)
         if cell in self.blocks:
             self._remove_block(cell)
             removed.append("block")
@@ -838,12 +890,23 @@ class World:
 
     # ------------------------------------------------------------- invariants
 
+    def _walked_view(self, pos: Coord) -> FixedView:
+        """A diamond's terrain and taskboards from a walk of all its cells:
+        the oracle of the cached views."""
+        cells = [(off, wrap(*add(pos, off), self.dims)) for off in sorted(DIAMOND)]
+        terrain = tuple((off, self.terrain[c]) for off, c in cells if self.terrain[c] != EMPTY)
+        return terrain, tuple(off for off, c in cells if c in self.taskboards)
+
     def check_invariants(self) -> None:
         """Exhaustive consistency check; used by tests after every tick."""
         assert len(self._occupant) == len(self.agents), "occupant index size differs from agent count"
-        unlisted = [c for c, t in self.terrain.items() if t != EMPTY and c not in self._fixtures]
-        unlisted += (self.dispensers.keys() | self.taskboards) - self._fixtures
-        assert not unlisted, f"fixture cells {sorted(unlisted)} missing from the fixture index"
+        fixed = [c for c, t in self.terrain.items() if t != EMPTY or c in self.taskboards]
+        unlisted = [(x, y) for x, y in fixed if not self._fixed[x] >> y & 1]
+        assert not unlisted, f"fixed cells {sorted(unlisted)} missing from the fixed columns"
+        for a in self.agents.values():
+            view = self._views.get(a.pos)
+            if view is not None:
+                assert view == self._walked_view(a.pos), f"stale cached view at {a.pos}"
         seen: dict[Coord, str] = {}
         for a in self.agents.values():
             assert self._occupant.get(a.pos) is a, f"occupant index misses {a.name} at {a.pos}"

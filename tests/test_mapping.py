@@ -198,6 +198,46 @@ class TestMerge:
         v1, v2 = s1.merged_view("alpha01"), s2.merged_view("alpha01")
         assert v1.dispensers == v2.dispensers
 
+    def test_merged_view_is_kept_until_a_map_gains_an_entry(self):
+        w = scripted_world(20, 20, {"alpha": [(5, 5)]}, goals=[(5, 12)], dispensers=[((7, 5), "b1")])
+        store = MapStore(["alpha01"])
+        record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))
+        view = store.merged_view("alpha01")
+        assert store.merged_view("alpha01") is view
+        record_statics(store.maps["alpha01"], percept_of(w, "alpha01"))  # nothing new
+        assert store.merged_view("alpha01") is view
+        assert view.dispensers == {((2, 0), "b1")} and view.goals == frozenset()
+        walk(w, store, "alpha01", "ss")  # the goal comes into sight
+        fresh = store.merged_view("alpha01")
+        assert fresh is not view and fresh.goals == {(0, 7)}
+
+    def test_merged_view_is_rebuilt_after_a_merge_and_after_set_dims(self):
+        w = scripted_world(
+            10, 10, {"alpha": [(2, 2), (6, 2)]}, dispensers=[((4, 1), "b1"), ((8, 3), "b2")]
+        )
+        store = MapStore(["alpha01", "alpha02"])
+        for name in store.agents:
+            record_statics(store.maps[name], percept_of(w, name))
+        alone = {name: store.merged_view(name) for name in store.agents}
+        store.process_merges([self.sight(w, store, "alpha01", "alpha02")])
+        merged = store.merged_view("alpha01")
+        assert all(merged is not view for view in alone.values())
+        assert store.merged_view("alpha02") is merged
+        assert len(merged.dispensers) == 3
+        store.set_dims(Dims(10, 10))
+        wrapped = store.merged_view("alpha01")
+        assert wrapped is not merged and len(wrapped.dispensers) == 2
+
+    def test_record_on_a_member_map_reaches_the_group_view(self):
+        w = scripted_world(20, 20, {"alpha": [(2, 2), (5, 2)]}, goals=[(5, 10)])
+        store = MapStore(["alpha01", "alpha02"])
+        store.process_merges([self.sight(w, store, "alpha01", "alpha02")])
+        leader = store.leader_of("alpha01")
+        before = store.merged_view(leader)
+        assert before.goals == frozenset()
+        walk(w, store, "alpha02", "sss")  # records alpha02's map only
+        assert store.merged_view(leader).goals == {sub((5, 10), w.spawns[leader])}
+
     def test_exhaustive_pair_merges_small_grid(self):
         # Every sighting offset within vision on an 8x8 torus, singleton
         # groups, entities scattered: leader-frame views must match ground

@@ -1,14 +1,16 @@
 """Seeded invariant sweep: short matches on small grids against every
 opponent, with and without obstacles and clear events. After every world
-step the world's own invariants, the team's one-leader-per-group table and
-its task-group and cartography tables must hold. The checks hook into
-World.step, so the matches run through the harness's one step loop."""
+step the world's own invariants, the team's one-leader-per-group table, its
+merged views and its task-group and cartography tables must hold. The
+checks hook into World.step, so the matches run through the harness's one
+step loop."""
 
 import itertools
 
 import pytest
 
 from torusarena.harness import OPPONENTS, MatchConfig, run_match
+from torusarena.mapping import MapStore
 from torusarena.team import TeamController
 from torusarena.torus import CARDINALS, add, delta, wrap
 from torusarena.world import World
@@ -68,6 +70,20 @@ def check_group_tables(team: TeamController) -> tuple[int, int]:
     return len(team.groups), beside
 
 
+def check_merged_views(store: MapStore) -> None:
+    """Each leader's merged view, kept or rebuilt, equals a fresh union of
+    its members' maps in the leader's frame."""
+    for leader in set(store.leaders.values()):
+        dispensers, goals, taskboards = set(), set(), set()
+        for m in store.group_members(leader):
+            local = store.maps[m]
+            dispensers |= {(store.to_leader(m, c), t) for c, t in local.dispensers}
+            goals |= {store.to_leader(m, c) for c in local.goals}
+            taskboards |= {store.to_leader(m, c) for c in local.taskboards}
+        view = store.merged_view(leader)
+        assert (view.dispensers, view.goals, view.taskboards) == (dispensers, goals, taskboards), leader
+
+
 @pytest.fixture
 def checked_steps(monkeypatch):
     """Run every invariant check after every World.step; returns the checked
@@ -84,6 +100,7 @@ def checked_steps(monkeypatch):
         out = step(self, *args, **kwargs)
         self.check_invariants()
         teams[-1].store.check_one_leader()
+        check_merged_views(teams[-1].store)
         groups, beside = check_group_tables(teams[-1])
         checked["groups"] += groups
         checked["beside_slot"] += beside

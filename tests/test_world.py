@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import percept_of, scripted_world
 from torusarena.harness import PRESETS, GreedyCourier, MatchConfig
@@ -168,6 +169,19 @@ class TestClear:
         for expected in ["obstacle", "obstacle", "empty"]:
             w.step({"alpha01": Action.clear((2, 0))}, ())
             assert w.terrain[(5, 3)] == expected
+
+    def test_cleared_obstacle_leaves_its_taskboard_in_view(self):
+        w = scripted_world(
+            20, 20, {"alpha": [(3, 3)], "beta": [(8, 3)]}, obstacles=[(5, 3)], taskboards=[(5, 3)]
+        )
+        names = ["alpha01", "beta01"]
+        for _ in range(2):
+            percepts, _ = w.step({"alpha01": Action.clear((2, 0))}, names)
+        assert percepts["beta01"].terrain == (((-3, 0), "obstacle"),)
+        percepts, _ = w.step({"alpha01": Action.clear((2, 0))}, names)
+        w.check_invariants()
+        assert percepts["alpha01"].terrain == () and percepts["alpha01"].taskboards == ((2, 0),)
+        assert percepts["beta01"].terrain == () and percepts["beta01"].taskboards == ((-3, 0),)
 
     def test_interrupted_charge_resets(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]}, obstacles=[(5, 3)])
@@ -583,3 +597,45 @@ class TestPerceptsAgainstReference:
         assert list(percepts) == ["alpha01"]
         with pytest.raises(KeyError):
             w.percepts(["alpha01", "ghost"])
+
+
+# Sides down to 2 make the diamond wrap onto itself in both axes, and clear
+# events empty obstacles that the cached fixed views of nearby cells hold.
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    w=st.integers(2, 16),
+    h=st.integers(2, 16),
+    density=st.floats(0.0, 0.3),
+    clear_rate=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**16),
+)
+def test_percepts_on_wrapped_tiny_grids_with_clears(w, h, density, clear_rate, seed):
+    cfg = WorldConfig(
+        dims=(w, h),
+        teams={"alpha": 2, "beta": 1},
+        obstacle_density=density,
+        goal_cluster_count=1,
+        goal_cluster_size=2,
+        dispensers_per_type=1,
+        taskboard_count=1,
+        task_interval=4,
+        clear_event_rate=clear_rate,
+    )
+    try:
+        world = World(cfg, seed)
+    except WorldConfigError:
+        assume(False)  # the drawn obstacles leave too few open cells
+    couriers = GreedyCourier(list(world.agents), seed)
+    names = sorted(world.agents)
+    for step in range(20):
+        percepts, _ = world.step(couriers.act(world, step), names)
+        world.check_invariants()
+        for name in names:
+            assert percepts[name] == reference_percept(world, name), (step, name)
+
