@@ -6,6 +6,10 @@ other agents are all treated as immovable blocks (clearing a block is never
 planned, it might be ours). Clearing an obstacle is allowed only when the
 problem says so, costs three consecutive clear actions, and plans execute
 blindly: a failed step does not trigger a replan until the plan runs out.
+
+One breadth-first search, `_search`, does all the planning; with clearing
+allowed, `solve` runs it on the relaxed problem (obstacles empty, no
+clearing) first, and over sets of cleared obstacles only if it must.
 """
 
 from __future__ import annotations
@@ -130,13 +134,38 @@ _CLEAR_TOKENS = tuple(
 )
 
 
+def relaxed(problem: Problem) -> Problem:
+    """The same diamond with every obstacle made empty and no clearing."""
+    labels = tuple(EMPTY if label == OBSTACLE else label for label in problem.labels)
+    return Problem(labels, problem.goal, problem.attached, clear_allowed=False)
+
+
 def solve(problem: Problem) -> Plan:
     """Minimum-length action sequence onto the goal cell, empty when the
-    goal is unreachable. Breadth-first with neighbors generated in the fixed
-    order move N,S,E,W / rotate cw,ccw / clear N,S,E,W, which makes the
-    result the lexicographically smallest optimal plan."""
-    if problem.clear_allowed and not relaxed_reachable(problem):
-        return ()
+    goal is unreachable: the lexicographically smallest optimal plan in the
+    order move N,S,E,W / rotate cw,ccw / clear N,S,E,W.
+
+    With clearing allowed, the relaxed problem is searched first; the full
+    search, whose states carry the set of cleared obstacles, runs only when
+    the relaxed plan touches an obstacle. This returns the same plans:
+    - dropping the clear actions from a real plan leaves a relaxed plan, so
+      an unreachable relaxed goal is unreachable, and a real plan with
+      k >= 1 clears is at least 3k longer than the relaxed optimum;
+    - so the real optimal plans are exactly the relaxed optimal plans whose
+      agent and block touch no obstacle;
+    - both searches expand successors in the same order, so each returns
+      the first plan in that order among its shortest plans. When the
+      relaxed answer touches no obstacle, it is also the real answer."""
+    if problem.clear_allowed:
+        plan, cells = _search(relaxed(problem))
+        if not plan or all(problem.labels[i] != OBSTACLE for i in cells):
+            return plan
+    return _search(problem)[0]
+
+
+def _search(problem: Problem) -> tuple[Plan, list[int]]:
+    """Breadth-first search onto the goal: the plan, and the cells its agent
+    and attached block occupy on the way; ((), []) when unreachable."""
     empty_cell = [label == EMPTY for label in problem.labels]
     obstacle_bit = {}
     for i, label in enumerate(problem.labels):
@@ -206,58 +235,22 @@ def solve(problem: Problem) -> Plan:
                         seen.add(nxt)
                         parents[nxt] = (state, _CLEAR_TOKENS[d])
                         queue.append(nxt)
-    return ()
-
-
-def relaxed_reachable(problem: Problem) -> bool:
-    """Whether the goal is reachable with every obstacle treated as cleared.
-    The search runs over (cell, attachment) states with solve's move and
-    rotate rules. Every real plan projects onto a path here (clear actions
-    become self-loops), so False proves that solve returns (); without
-    clearing, solve's own search already walks exactly these states."""
-    open_cell = [label != BLOCKED for label in problem.labels]
-
-    def passable(i: int) -> bool:
-        return i != _NO_CELL and open_cell[i]
-
-    goal_i = DIAMOND_INDEX[problem.goal]
-    start = (DIAMOND_INDEX[(0, 0)], _ATT_CODE[problem.attached])
-    seen = {start}
-    stack = [start]
-    while stack:
-        pos, att = stack.pop()
-        if pos == goal_i:
-            return True
-        succ = []
-        for npos in _NEIGHBORS[pos]:
-            if not passable(npos):
-                continue
-            if att:
-                nblock = _shift(npos, att)
-                if nblock != pos and not passable(nblock):
-                    continue
-            succ.append((npos, att))
-        if att:
-            for natt in (_ROT_CW[att], _ROT_CCW[att]):
-                if passable(_shift(pos, natt)):
-                    succ.append((pos, natt))
-        for nxt in succ:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+    return (), []
 
 
 def _shift(cell_i: int, att_code: int) -> int:
     return _NEIGHBORS[cell_i][att_code - 1]
 
 
-def _reconstruct(parents, state) -> Plan:
-    tokens = []
-    while state in parents:
+def _reconstruct(parents, state) -> tuple[Plan, list[int]]:
+    tokens, cells = [], []
+    while True:
+        pos, att = state[0], state[1]
+        cells += (pos, _shift(pos, att)) if att else (pos,)
+        if state not in parents:
+            return tuple(reversed(tokens)), cells
         state, token = parents[state]
         tokens.append(token)
-    return tuple(reversed(tokens))
 
 
 def action_from_token(token: str) -> Action:

@@ -610,15 +610,14 @@ class World:
 
     def _apply(self, agent: AgentState, act: Action) -> str:
         if agent.disabled_until > self.step_num and act.kind != "skip":
+            result = "failed:disabled"
+        else:
+            handler = getattr(self, f"_do_{act.kind}", None)
+            result = handler(agent, act) if handler else "failed:invalid"
+        # Any action but a successful clear interrupts a charge in progress.
+        if act.kind != "clear" or result != "success":
             agent.clear_charge = None
-            return "failed:disabled"
-        handler = getattr(self, f"_do_{act.kind}", None)
-        if handler is None:
-            agent.clear_charge = None
-            return "failed:invalid"
-        if act.kind != "clear":
-            agent.clear_charge = None
-        return handler(agent, act)
+        return result
 
     def _do_skip(self, agent: AgentState, act: Action) -> str:
         return "success"
@@ -808,13 +807,10 @@ class World:
 
     def _do_clear(self, agent: AgentState, act: Action) -> str:
         if act.offset is None:
-            agent.clear_charge = None
             return "failed:invalid"
         if manhattan(act.offset) > CLEAR_RANGE:
-            agent.clear_charge = None
             return "failed:out_of_range"
         if agent.energy < CLEAR_COST:
-            agent.clear_charge = None
             return "failed:no_energy"
         target = wrap(*add(agent.pos, act.offset), self.dims)
         if agent.clear_charge and agent.clear_charge[0] == target:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import pathlib
 import random
@@ -14,8 +15,9 @@ from torusarena.planner import (
     Problem,
     ProblemError,
     build_problem,
+    _search,
     fallback_one_step,
-    relaxed_reachable,
+    relaxed,
     select_good_cell,
     solve,
 )
@@ -33,6 +35,36 @@ def make_problem(obstacles=(), blocked=(), goal=(0, -3), attached=None, clear=Fa
         else:
             labels.append(EMPTY)
     return Problem(labels=tuple(labels), goal=goal, attached=attached, clear_allowed=clear)
+
+
+def random_problem(rng, clear_rate):
+    """A seeded random diamond: 15 % obstacles, 10 % blocked, a random
+    attachment, a random free goal, and clearing allowed at `clear_rate`."""
+    obstacles, blocked = set(), set()
+    for off in DIAMOND:
+        if off == (0, 0):
+            continue
+        r = rng.random()
+        if r < 0.15:
+            obstacles.add(off)
+        elif r < 0.25:
+            blocked.add(off)
+    attached = rng.choice([None, (0, 1), (0, -1), (1, 0), (-1, 0)])
+    if attached:
+        obstacles.discard(attached)
+        blocked.discard(attached)
+    free = [
+        off
+        for off in DIAMOND
+        if off not in obstacles and off not in blocked and off != (0, 0) and off != attached
+    ]
+    return make_problem(
+        obstacles=obstacles,
+        blocked=blocked,
+        goal=rng.choice(free),
+        attached=attached,
+        clear=rng.random() < clear_rate,
+    )
 
 
 WALL = ((-1, -1), (0, -1), (1, -1))
@@ -84,35 +116,28 @@ class TestSolve:
     def test_matches_oracle_on_random_problems(self):
         rng = random.Random(1234)
         for trial in range(300):
-            obstacles, blocked = set(), set()
-            for off in DIAMOND:
-                if off == (0, 0):
-                    continue
-                r = rng.random()
-                if r < 0.15:
-                    obstacles.add(off)
-                elif r < 0.25:
-                    blocked.add(off)
-            attached = rng.choice([None, (0, 1), (0, -1), (1, 0), (-1, 0)])
-            if attached:
-                obstacles.discard(attached)
-                blocked.discard(attached)
-            free = [
-                off
-                for off in DIAMOND
-                if off not in obstacles and off not in blocked and off != (0, 0) and off != attached
-            ]
-            goal = rng.choice(free)
-            p = make_problem(
-                obstacles=obstacles,
-                blocked=blocked,
-                goal=goal,
-                attached=attached,
-                clear=rng.random() < 0.5,
-            )
+            p = random_problem(rng, clear_rate=0.5)
             plan = solve(p)
             if check_optimal(p, plan) == "optimal":
                 check_plan(p, plan)
+
+    def test_relaxed_pass_agrees_with_the_full_search(self):
+        # With clearing allowed, solve answers from the relaxed problem when
+        # its plan touches no obstacle. Wherever the relaxed goal is
+        # reachable, that answer must be the full search's.
+        rng = random.Random(27)
+        outcomes = collections.Counter()
+        for trial in range(400):
+            p = random_problem(rng, clear_rate=1.0)
+            plan, cells = _search(relaxed(p))
+            if not plan:
+                outcomes["unreachable"] += 1
+                assert solve(p) == ()
+                continue
+            touches = any(p.labels[i] == OBSTACLE for i in cells)
+            outcomes["full search" if touches else "relaxed answer"] += 1
+            assert solve(p) == _search(p)[0], trial
+        assert set(outcomes) == {"unreachable", "relaxed answer", "full search"}, outcomes
 
 
 UNREACHABLE_KEYS = (
@@ -128,14 +153,14 @@ class TestUnreachable:
     def test_fixture_key_is_proven_unreachable(self, key):
         problem = decode_key(key)
         assert problem.clear_allowed
-        assert not relaxed_reachable(problem)
+        assert solve(relaxed(problem)) == ()
         assert solve(problem) == ()
 
     def test_fixture_needs_the_attached_block(self):
         # Without its attachment the agent alone reaches the goal in some of
         # these problems: the relaxation has to carry the block.
         agent_only = [
-            relaxed_reachable(dataclasses.replace(decode_key(key), attached=None))
+            solve(relaxed(dataclasses.replace(decode_key(key), attached=None))) != ()
             for key in UNREACHABLE_KEYS
         ]
         assert any(agent_only)
@@ -143,7 +168,7 @@ class TestUnreachable:
     def test_obstacles_count_as_cleared(self):
         ring = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         p = make_problem(obstacles=ring, goal=(0, -3), clear=True)
-        assert relaxed_reachable(p)
+        assert solve(relaxed(p)) != ()
         assert len(solve(p)) == 6
 
 

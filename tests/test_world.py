@@ -183,13 +183,47 @@ class TestClear:
         assert percepts["alpha01"].terrain == () and percepts["alpha01"].taskboards == ((2, 0),)
         assert percepts["beta01"].terrain == () and percepts["beta01"].taskboards == ((-3, 0),)
 
-    def test_interrupted_charge_resets(self):
-        w = scripted_world(20, 20, {"alpha": [(3, 3)]}, obstacles=[(5, 3)])
-        w.step({"alpha01": Action.clear((2, 0))}, ())
-        w.step({"alpha01": Action.clear((2, 0))}, ())
-        w.step({"alpha01": Action.skip()}, ())
-        w.step({"alpha01": Action.clear((2, 0))}, ())
+    # Each interruption and its result: successful and failed actions alike
+    # end a charge in progress.
+    INTERRUPTIONS = {
+        "skip": (Action.skip(), "success"),
+        "move": (Action.move("n"), "success"),
+        "unknown_kind": (Action("dance"), "failed:invalid"),
+        "other_cell": (Action.clear((0, 2)), "success"),
+        "out_of_range": (Action.clear((4, 2)), "failed:out_of_range"),
+    }
+
+    @pytest.mark.parametrize("interruption", [*INTERRUPTIONS, "disabled_by_a_clear"])
+    def test_interrupted_charge_resets(self, interruption):
+        w = scripted_world(20, 20, {"alpha": [(3, 3)], "beta": [(7, 3)]}, obstacles=[(5, 3)])
+        alpha = w.agents["alpha01"]
+
+        def charge(beta=Action.skip()):
+            x, y = alpha.pos
+            w.step({"alpha01": Action.clear((5 - x, 3 - y)), "beta01": beta}, ())
+
+        if interruption == "disabled_by_a_clear":
+            # beta acts after alpha: its third clear on alpha's cell lands
+            # right after alpha's second charge, and alpha keeps charging.
+            hit = Action.clear((-4, 0))
+            w.step({"beta01": hit}, ())
+            charge(hit)
+            charge(hit)
+            assert alpha.disabled_until > w.step_num
+            while alpha.disabled_until > w.step_num:
+                charge()
+                assert alpha.last_result == ("clear", "failed:disabled")
+        else:
+            charge()
+            charge()
+            act, result = self.INTERRUPTIONS[interruption]
+            w.step({"alpha01": act}, ())
+            assert alpha.last_result == (act.kind, result)
+        charge()
         assert w.terrain[(5, 3)] == "obstacle"
+        charge()
+        charge()
+        assert w.terrain[(5, 3)] == "empty"
 
     def test_energy_gate_and_cost(self):
         w = scripted_world(20, 20, {"alpha": [(3, 3)]}, obstacles=[(5, 3)])
