@@ -9,12 +9,22 @@ message updates, which is exactly the window the checker probes.
 
 Instances are serialized: only the sighting at the head of the FIFO queue
 may propose, and the lock it takes is released by its last notify.
+
+States and instances are named tuples, and each transition builds its
+successor with one constructor call. `leaders`, `offsets` and `local` stay
+(agent, value) pairs sorted by agent, the shape callers read them in; a
+model maps each agent to its position once, so a lookup is
+`state.leaders[i][1]`. Sightings fire in schedule order and each appends its
+instance, so instance k sits at position k of `instances`. A model hands out
+one object per distinct event and per distinct part of a state (instance,
+queue, table, view): an explored graph holds tens of thousands of states
+but only dozens of distinct parts, and every edge shares its event's label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .torus import Offset, add, neg, sub
 
@@ -33,8 +43,7 @@ class Sighting:
     pos_b: Vec = (0, 0)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     phase: str  # queued | proposed | absorbed | finished
     report_a: Optional[str] = None  # leader holding the report; None until sent
     report_b: Optional[str] = None
@@ -44,42 +53,21 @@ class Instance:
     notifies: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProtocolState:
+class ProtocolState(NamedTuple):
     leaders: tuple[tuple[str, str], ...]  # blackboard: agent -> leader
     offsets: tuple[tuple[str, Vec], ...]  # blackboard: agent -> offset to leader
     local: tuple[tuple[str, str], ...]  # each agent's own view of its leader
     sighted: int  # prefix of the schedule already fired
     queue: tuple[int, ...]
     lock: Optional[int]
-    instances: tuple[tuple[int, Instance], ...]
+    instances: tuple[Instance, ...]  # instance k at position k
     done: bool = False
 
-    def leader_of(self, agent: str) -> str:
-        return dict(self.leaders)[agent]
 
-    def offset_of(self, agent: str) -> Vec:
-        return dict(self.offsets)[agent]
-
-    def group_of(self, leader: str) -> list[str]:
-        return sorted(a for a, l in self.leaders if l == leader)
-
-    def instance(self, k: int) -> Instance:
-        return dict(self.instances)[k]
-
-    def unified(self) -> bool:
-        table = dict(self.leaders)
-        views = dict(self.local)
-        heads = {table[a] for a in table} | {views[a] for a in views}
-        return len(heads) == 1
-
-
-@dataclass(frozen=True)
 class Event:
-    kind: str  # sight report forward cancel propose absorb notify done
-    k: int = -1
-    agent: str = ""
-    extra: str = ""
+    """One transition; its label and sort key are made when it is."""
+
+    __slots__ = ("kind", "k", "agent", "extra", "label", "_key")
 
     _ORDER = {
         "sight": 0,
@@ -92,20 +80,17 @@ class Event:
         "done": 7,
     }
 
-    def sort_key(self) -> tuple:
-        return (self._ORDER[self.kind], self.k, self.agent, self.extra)
+    def __init__(self, kind: str, k: int = -1, agent: str = "", extra: str = ""):
+        # kind: sight report forward cancel propose absorb notify done
+        self.kind, self.k, self.agent, self.extra = kind, k, agent, extra
+        self._key = (self._ORDER[kind], k, agent, extra)
+        if extra:  # sight, cancel, propose
+            self.label = f"{kind} {agent} {extra}"
+        else:
+            self.label = f"{kind} {agent}" if agent else kind
 
-    @property
-    def label(self) -> str:
-        if self.kind == "sight":
-            return f"sight {self.agent} {self.extra}"
-        if self.kind in ("report", "forward", "absorb", "notify"):
-            return f"{self.kind} {self.agent}"
-        if self.kind == "cancel":
-            return f"cancel {self.agent} {self.extra}"
-        if self.kind == "propose":
-            return f"propose {self.agent} {self.extra}"
-        return self.kind
+    def sort_key(self) -> tuple:
+        return self._key
 
 
 @dataclass
@@ -123,18 +108,15 @@ class MergeProtocol:
     drop_notify: frozenset[str] = frozenset()
     both_claim_victory: bool = False
 
+    def __post_init__(self) -> None:
+        self._table = tuple(sorted((self.leaders or {a: a for a in self.agents}).items()))
+        self._at = {a: i for i, (a, _) in enumerate(self._table)}
+        self._events: dict[tuple, Event] = {}
+        self._share = {}.setdefault  # share(part, part): the model's one equal part
+
     def initial_state(self) -> ProtocolState:
-        leaders = self.leaders or {a: a for a in self.agents}
-        offsets = self.offsets or {a: (0, 0) for a in self.agents}
-        return ProtocolState(
-            leaders=tuple(sorted(leaders.items())),
-            offsets=tuple(sorted(offsets.items())),
-            local=tuple(sorted(leaders.items())),
-            sighted=0,
-            queue=(),
-            lock=None,
-            instances=(),
-        )
+        offsets = tuple(sorted((self.offsets or {a: (0, 0) for a in self.agents}).items()))
+        return ProtocolState(self._table, offsets, self._table, 0, (), None, ())
 
     def alphabet_ok(self, label: str) -> bool:
         """Is `label` an event name over this system's agents?"""
@@ -146,9 +128,10 @@ class MergeProtocol:
     def winner_loser(self, state: ProtocolState, k: int) -> tuple[str, str]:
         """Leader decision rule: larger group wins, ties go to the smaller
         name. Returns (winner, loser)."""
-        s = self.schedule[k]
-        la, lb = state.leader_of(s.a), state.leader_of(s.b)
-        ca, cb = len(state.group_of(la)), len(state.group_of(lb))
+        s, at, leaders = self.schedule[k], self._at, state.leaders
+        la, lb = leaders[at[s.a]][1], leaders[at[s.b]][1]
+        heads = [l for _, l in leaders]
+        ca, cb = heads.count(la), heads.count(lb)
         if ca > cb or (ca == cb and la < lb):
             return la, lb
         return lb, la
@@ -156,9 +139,9 @@ class MergeProtocol:
     def translation(self, state: ProtocolState, k: int, winner: str) -> Vec:
         """Frame translation applied to every loser-group offset: maps a
         coordinate expressed in the loser leader's frame into the winner's."""
-        s = self.schedule[k]
-        t_a, t_b = state.offset_of(s.a), state.offset_of(s.b)
-        if winner == state.leader_of(s.a):
+        s, at = self.schedule[k], self._at
+        t_a, t_b = state.offsets[at[s.a]][1], state.offsets[at[s.b]][1]
+        if winner == state.leaders[at[s.a]][1]:
             # F_b -> F_a translation from the sighting geometry.
             b_in_a = sub(add(s.pos_a, s.offset), s.pos_b)
             return add(sub(t_a, t_b), b_in_a)
@@ -167,35 +150,41 @@ class MergeProtocol:
 
     # ------------------------------------------------------------ transitions
 
-    def enabled(self, state: ProtocolState) -> list[Event]:
-        out = list(self._enabled_iter(state))
-        out.sort(key=Event.sort_key)
-        return out
+    def _event(self, kind: str, k: int = -1, agent: str = "", extra: str = "") -> Event:
+        """The model's one event of each name, built on first use: every edge
+        and trace that carries a label shares it."""
+        key = (kind, k, agent, extra)
+        event = self._events.get(key)
+        if event is None:
+            event = self._events[key] = Event(kind, k, agent, extra)
+        return event
 
-    def _enabled_iter(self, state: ProtocolState) -> Iterator[Event]:
-        if state.done:
-            return
-        if state.sighted < len(self.schedule):
-            s = self.schedule[state.sighted]
-            yield Event("sight", state.sighted, s.a, s.b)
-        insts = dict(state.instances)
-        for k, inst in insts.items():
-            if inst.phase == "finished":
+    def enabled(self, state: ProtocolState) -> list[Event]:
+        out: list[Event] = []
+        leaders, _, _, sighted, queue, lock, insts, done = state
+        if done:
+            return out
+        schedule, at, event = self.schedule, self._at, self._event
+        if sighted < len(schedule):
+            s = schedule[sighted]
+            out.append(event("sight", sighted, s.a, s.b))
+        for k, inst in enumerate(insts):
+            phase, report_a, report_b, _, _, claimed, notifies = inst
+            if phase == "finished":
                 continue
-            s = self.schedule[k]
-            if inst.phase in ("queued", "proposed", "absorbed"):
-                if inst.report_a is None:
-                    yield Event("report", k, s.a)
-                elif inst.report_a != state.leader_of(s.a):
-                    yield Event("forward", k, s.a)
-                if inst.report_b is None:
-                    yield Event("report", k, s.b)
-                elif inst.report_b != state.leader_of(s.b):
-                    yield Event("forward", k, s.b)
-            if inst.phase == "queued" and state.queue and state.queue[0] == k and state.lock is None:
-                la, lb = state.leader_of(s.a), state.leader_of(s.b)
-                if inst.report_a is not None and inst.report_b is not None and la == lb:
-                    yield Event("cancel", k, s.a, s.b)
+            s = schedule[k]
+            la, lb = leaders[at[s.a]][1], leaders[at[s.b]][1]
+            if report_a is None:
+                out.append(event("report", k, s.a))
+            elif report_a != la:
+                out.append(event("forward", k, s.a))
+            if report_b is None:
+                out.append(event("report", k, s.b))
+            elif report_b != lb:
+                out.append(event("forward", k, s.b))
+            if phase == "queued" and queue[0] == k and lock is None:
+                if report_a is not None and report_b is not None and la == lb:
+                    out.append(event("cancel", k, s.a, s.b))
                 elif la != lb:
                     winner, loser = self.winner_loser(state, k)
                     # The broken-rule fault lets either side end up the winner;
@@ -204,123 +193,79 @@ class MergeProtocol:
                     if self.both_claim_victory:
                         options.append((winner, loser))
                     for claimant, target in options:
-                        if self._report_at(state, k, claimant):
-                            yield Event("propose", k, claimant, target)
-            if inst.phase == "proposed":
-                if self._report_at(state, k, inst.winner):
-                    yield Event("absorb", k, inst.winner)
-            if inst.phase == "absorbed":
-                for m in inst.notifies:
-                    if m not in self.drop_notify:
-                        yield Event("notify", k, m)
-        if (
-            state.sighted == len(self.schedule)
-            and not state.queue
-            and state.lock is None
-            and state.unified()
-        ):
-            yield Event("done")
-
-    def _report_at(self, state: ProtocolState, k: int, leader: str) -> bool:
-        """Does `leader` hold the report of its own sighting member?"""
-        inst = state.instance(k)
-        s = self.schedule[k]
-        if state.leader_of(s.a) == leader and inst.report_a == leader:
-            return True
-        if state.leader_of(s.b) == leader and inst.report_b == leader:
-            return True
-        return False
+                        if _holds_report(claimant, la, report_a, lb, report_b):
+                            out.append(event("propose", k, claimant, target))
+            elif phase == "proposed":
+                if _holds_report(claimed, la, report_a, lb, report_b):
+                    out.append(event("absorb", k, claimed))
+            elif phase == "absorbed":
+                out.extend(event("notify", k, m) for m in notifies if m not in self.drop_notify)
+        if sighted == len(schedule) and not queue and lock is None:
+            heads = {l for _, l in leaders} | {l for _, l in state.local}
+            if len(heads) == 1:
+                out.append(event("done"))
+        out.sort(key=Event.sort_key)
+        return out
 
     def apply(self, state: ProtocolState, event: Event) -> ProtocolState:
-        if event.kind == "sight":
-            return self._apply_sight(state, event.k)
-        if event.kind == "report":
-            return self._apply_report(state, event.k, event.agent)
-        if event.kind == "forward":
-            return self._apply_forward(state, event.k, event.agent)
-        if event.kind == "cancel":
-            return self._finish_instance(state, event.k)
-        if event.kind == "propose":
-            return self._apply_propose(state, event.k, event.extra)
-        if event.kind == "absorb":
-            return self._apply_absorb(state, event.k, event.agent)
-        if event.kind == "notify":
-            return self._apply_notify(state, event.k, event.agent)
-        if event.kind == "done":
-            return replace(state, done=True)
-        raise ValueError(f"unknown event {event!r}")
+        leaders, offsets, local, sighted, queue, lock, insts, done = state
+        kind, k, share = event.kind, event.k, self._share
+        if kind == "sight":
+            s, at = self.schedule[k], self._at
+            inst = Instance("queued", None, None, leaders[at[s.a]][1], leaders[at[s.b]][1])
+            queue += (k,)
+            insts += (share(inst, inst),)
+            return ProtocolState(leaders, offsets, local, k + 1, share(queue, queue), lock, insts)
+        if kind == "done":
+            return ProtocolState(leaders, offsets, local, sighted, queue, lock, insts, True)
+        phase, report_a, report_b, addr_a, addr_b, winner, notifies = insts[k]
+        if kind == "report":  # to the leader the sighting addressed
+            if event.agent == self.schedule[k].a:
+                report_a = addr_a
+            else:
+                report_b = addr_b
+        elif kind == "forward":  # on to the agent's leader now
+            if event.agent == self.schedule[k].a:
+                report_a = leaders[self._at[event.agent]][1]
+            else:
+                report_b = leaders[self._at[event.agent]][1]
+        elif kind == "propose":
+            phase, winner, lock = "proposed", event.extra, k
+        elif kind == "absorb":
+            phase, winner = "absorbed", event.agent
+            leaders, offsets, notifies = self._absorb(state, k, winner)
+        elif kind == "notify":
+            i = self._at[event.agent]
+            local = local[:i] + (leaders[i],) + local[i + 1 :]
+            local = share(local, local)
+            notifies = tuple(m for m in notifies if m != event.agent)
+        if kind == "cancel" or (kind == "notify" and not notifies):
+            phase, notifies = "finished", ()
+            queue = tuple(q for q in queue if q != k)
+            queue = share(queue, queue)
+            lock = None if lock == k else lock
+        inst = Instance(phase, report_a, report_b, addr_a, addr_b, winner, notifies)
+        insts = insts[:k] + (share(inst, inst),) + insts[k + 1 :]
+        return ProtocolState(leaders, offsets, local, sighted, queue, lock, insts, done)
 
-    def _with_instance(self, state: ProtocolState, k: int, inst: Instance) -> ProtocolState:
-        insts = dict(state.instances)
-        insts[k] = inst
-        return replace(state, instances=tuple(sorted(insts.items())))
-
-    def _apply_sight(self, state: ProtocolState, k: int) -> ProtocolState:
+    def _absorb(self, state: ProtocolState, k: int, winner: str) -> tuple:
+        """The loser's group moves to the winner at translated offsets, in
+        one pass over the sorted table; members that stay keep their pairs.
+        Returns (leaders, offsets, members moved)."""
         s = self.schedule[k]
-        inst = Instance(
-            phase="queued",
-            addr_a=state.leader_of(s.a),
-            addr_b=state.leader_of(s.b),
-        )
-        state = replace(state, sighted=state.sighted + 1, queue=state.queue + (k,))
-        return self._with_instance(state, k, inst)
-
-    def _apply_report(self, state: ProtocolState, k: int, agent: str) -> ProtocolState:
-        inst = state.instance(k)
-        if agent == self.schedule[k].a:
-            inst = replace(inst, report_a=inst.addr_a)
-        else:
-            inst = replace(inst, report_b=inst.addr_b)
-        return self._with_instance(state, k, inst)
-
-    def _apply_forward(self, state: ProtocolState, k: int, agent: str) -> ProtocolState:
-        inst = state.instance(k)
-        if agent == self.schedule[k].a:
-            inst = replace(inst, report_a=state.leader_of(agent))
-        else:
-            inst = replace(inst, report_b=state.leader_of(agent))
-        return self._with_instance(state, k, inst)
-
-    def _apply_propose(self, state: ProtocolState, k: int, target: str) -> ProtocolState:
-        inst = replace(state.instance(k), phase="proposed", winner=target)
-        return self._with_instance(replace(state, lock=k), k, inst)
-
-    def _apply_absorb(self, state: ProtocolState, k: int, winner: str) -> ProtocolState:
-        s = self.schedule[k]
-        la, lb = state.leader_of(s.a), state.leader_of(s.b)
-        loser = lb if winner == la else la
-        shift = self.translation(state, k, winner)
-        absorbed = state.group_of(loser)
-        leaders = dict(state.leaders)
-        offsets = dict(state.offsets)
-        for m in absorbed:
-            leaders[m] = winner
-            offsets[m] = add(offsets[m], shift)
-        inst = replace(state.instance(k), phase="absorbed", notifies=tuple(absorbed))
-        state = replace(
-            state,
-            leaders=tuple(sorted(leaders.items())),
-            offsets=tuple(sorted(offsets.items())),
-        )
-        return self._with_instance(state, k, inst)
-
-    def _apply_notify(self, state: ProtocolState, k: int, member: str) -> ProtocolState:
-        inst = state.instance(k)
-        local = dict(state.local)
-        local[member] = dict(state.leaders)[member]
-        state = replace(state, local=tuple(sorted(local.items())))
-        remaining = tuple(m for m in inst.notifies if m != member)
-        inst = replace(inst, notifies=remaining)
-        state = self._with_instance(state, k, inst)
-        if not remaining:
-            return self._finish_instance(state, k)
-        return state
-
-    def _finish_instance(self, state: ProtocolState, k: int) -> ProtocolState:
-        inst = replace(state.instance(k), phase="finished", notifies=())
-        queue = tuple(q for q in state.queue if q != k)
-        lock = None if state.lock == k else state.lock
-        return self._with_instance(replace(state, queue=queue, lock=lock), k, inst)
+        la = state.leaders[self._at[s.a]][1]
+        loser = state.leaders[self._at[s.b]][1] if winner == la else la
+        dx, dy = self.translation(state, k, winner)
+        leaders, offsets, moved = [], [], []
+        for pair, kept in zip(state.leaders, state.offsets):
+            if pair[1] == loser:
+                m, (x, y) = kept
+                pair, kept = (m, winner), (m, (x + dx, y + dy))
+                moved.append(m)
+            leaders.append(pair)
+            offsets.append(kept)
+        leaders, offsets = tuple(leaders), tuple(offsets)
+        return self._share(leaders, leaders), self._share(offsets, offsets), tuple(moved)
 
     # --------------------------------------------------------------- running
 
@@ -334,3 +279,12 @@ class MergeProtocol:
                 return state, transcript
             state = self.apply(state, events[0])
             transcript.append(events[0].label)
+
+
+def _holds_report(
+    leader: str, la: str, report_a: Optional[str], lb: str, report_b: Optional[str]
+) -> bool:
+    """Does `leader` hold the report of its own sighting member? `la` and
+    `lb` lead the sighting's two agents, whose reports went to `report_a`
+    and `report_b`."""
+    return (la == leader and report_a == la) or (lb == leader and report_b == lb)

@@ -14,7 +14,7 @@ a broken leader decision) exist to prove the checks can fail loudly.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -47,9 +47,12 @@ def chain_model(
     reachable and the merge meets a larger group along the way. A chain has
     n_agents - 1 links, so more sightings than that are rejected; richer
     schedules go through `pairs`. Pre-merged agents start at their true
-    offsets to their leader."""
-    if not 2 <= n_agents <= 4:
-        raise ValueError("the model supports 2 to 4 agents")
+    offsets to their leader. Agents are named a1 to a9, so that their names
+    sort in agent order."""
+    if not 2 <= n_agents <= 9:
+        raise ValueError(
+            "the model supports 2 to 9 agents: past a9, names stop sorting in agent order"
+        )
     agents = tuple(f"a{i + 1}" for i in range(n_agents))
     positions = {a: (i * SPACING, 0) for i, a in enumerate(agents)}
     if pairs is None:
@@ -75,14 +78,77 @@ def chain_model(
     )
 
 
+class Traces:
+    """One shortest trace per state, kept as the state it was first reached
+    from and the label of that edge, so memory grows with the states and not
+    with their depth. A trace is rebuilt when it is read."""
+
+    def __init__(self) -> None:
+        self.parents: list[int] = [-1]  # state 0 is the initial state
+        self.labels: list[str] = [""]
+
+    def add(self, parent: int, label: str) -> None:
+        self.parents.append(parent)
+        self.labels.append(label)
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+    def __getitem__(self, sid: int) -> Trace:
+        if not 0 <= sid < len(self.parents):
+            raise IndexError(sid)
+        out = []
+        while sid:
+            out.append(self.labels[sid])
+            sid = self.parents[sid]
+        return tuple(reversed(out))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+class Edges:
+    """Each state's (label, successor) edges, sorted, kept flat: state i's
+    edges are entries starts[i] to starts[i + 1] of `labels` and `targets`,
+    so an edge costs two slots rather than a tuple. Reading a state's edges
+    builds their pairs."""
+
+    def __init__(self) -> None:
+        self.labels: list[str] = []
+        self.targets = array("l")
+        self.starts = array("l", [0])
+
+    def add(self, out: list[tuple[str, int]]) -> None:
+        """Append the next state's edges."""
+        for label, nid in sorted(out):
+            self.labels.append(label)
+            self.targets.append(nid)
+        self.starts.append(len(self.labels))
+
+    def successors(self, sid: int) -> array:
+        return self.targets[self.starts[sid] : self.starts[sid + 1]]
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, sid: int) -> list[tuple[str, int]]:
+        if not 0 <= sid < len(self):
+            raise IndexError(sid)
+        lo, hi = self.starts[sid], self.starts[sid + 1]
+        return list(zip(self.labels[lo:hi], self.targets[lo:hi]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 @dataclass
 class StateGraph:
     states: list[Any]  # states[0] is the initial state
-    edges: list[list[tuple[str, int]]]  # per state: (label, successor) sorted
-    traces: list[Trace]  # one shortest trace per state
+    edges: Edges  # per state: (label, successor) sorted
+    traces: Traces  # one shortest trace per state
 
     def terminal_ids(self) -> list[int]:
-        return [i for i, out in enumerate(self.edges) if not out]
+        return [i for i in range(len(self.states)) if not self.edges.successors(i)]
 
     def done_ids(self) -> list[int]:
         return [i for i, s in enumerate(self.states) if s.done]
@@ -90,16 +156,15 @@ class StateGraph:
 
 def explore(system) -> StateGraph:
     """Full reachable state graph of a transition system under every event
-    interleaving."""
+    interleaving, breadth first: states are numbered as they are found and
+    expanded in that order."""
     init = system.initial_state()
     index = {init: 0}
     states = [init]
-    traces: list[Trace] = [()]
-    edges: list[list[tuple[str, int]]] = [[]]
-    queue = deque([0])
-    while queue:
-        sid = queue.popleft()
-        state = states[sid]
+    traces = Traces()
+    edges = Edges()
+    for sid, state in enumerate(states):  # grows while it is walked
+        out = []
         for event in system.enabled(state):
             nxt = system.apply(state, event)
             nid = index.get(nxt)
@@ -109,11 +174,9 @@ def explore(system) -> StateGraph:
                     raise ExplorationBound(STATE_BOUND, traces[sid] + (event.label,))
                 index[nxt] = nid
                 states.append(nxt)
-                traces.append(traces[sid] + (event.label,))
-                edges.append([])
-                queue.append(nid)
-            edges[sid].append((event.label, nid))
-        edges[sid].sort()
+                traces.add(sid, event.label)
+            out.append((event.label, nid))
+        edges.add(out)
     return StateGraph(states=states, edges=edges, traces=traces)
 
 
@@ -131,7 +194,7 @@ class Verdict:
 def check_deadlock_free(graph: StateGraph) -> Verdict:
     """Every state that is not done must offer at least one transition."""
     for i, state in enumerate(graph.states):
-        if not state.done and not graph.edges[i]:
+        if not state.done and not graph.edges.successors(i):
             return Verdict(
                 "deadlock-free",
                 False,
@@ -154,27 +217,30 @@ def check_reaches_done(graph: StateGraph, strong: bool = False) -> Verdict:
             return Verdict(name, False, f"terminal state {t} is not done", graph.traces[t])
     reach_done = _states_reaching(graph, done)
     for i in range(len(graph.states)):
-        if i not in reach_done:
+        if not reach_done[i]:
             return Verdict(
                 name, False, f"done unreachable from state {i}", graph.traces[i]
             )
     return Verdict(name, True, f"all {len(graph.states)} states lead to done")
 
 
-def _states_reaching(graph: StateGraph, targets: set[int]) -> set[int]:
-    reverse: list[list[int]] = [[] for _ in graph.states]
-    for src, out in enumerate(graph.edges):
-        for _, dst in out:
-            reverse[dst].append(src)
-    seen = set(targets)
-    queue = deque(targets)
-    while queue:
-        cur = queue.popleft()
-        for prev in reverse[cur]:
-            if prev not in seen:
-                seen.add(prev)
-                queue.append(prev)
-    return seen
+def _states_reaching(graph: StateGraph, targets: set[int]) -> bytearray:
+    """A 1 for each state with a path into `targets`. Sweeps from the last
+    state to the first until a sweep adds none, so no reverse edge lists are
+    built; breadth-first ids mostly grow along an edge, so few sweeps run."""
+    reach = bytearray(len(graph.states))
+    for t in targets:
+        reach[t] = 1
+    added = True
+    while added:
+        added = False
+        for src in range(len(graph.states) - 1, -1, -1):
+            if not reach[src]:
+                for dst in graph.edges.successors(src):
+                    if reach[dst]:
+                        reach[src], added = 1, True
+                        break
+    return reach
 
 
 def check_has_trace(system, graph: StateGraph, trace: Trace) -> Verdict:

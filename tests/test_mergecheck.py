@@ -1,7 +1,10 @@
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
+from torusarena.merge_protocol import MergeProtocol, Sighting
 from torusarena.mergecheck import (
     ExplorationBound,
     builtin_scenarios,
@@ -134,6 +137,19 @@ def test_standard_checks_all_pass_up_to_four_agents():
         assert all(verdicts), [v.name for v in verdicts if not v]
 
 
+def test_standard_checks_pass_on_five_agents():
+    verdicts = run_standard_checks(chain_model(5, 4))
+    assert all(verdicts), [v.name for v in verdicts if not v]
+
+
+def test_agents_beyond_a9_are_rejected():
+    assert chain_model(9, 1).agents[-1] == "a9"
+    with pytest.raises(ValueError, match="2 to 9 agents"):
+        chain_model(10, 1)
+    with pytest.raises(ValueError, match="2 to 9 agents"):
+        chain_model(1, 1)
+
+
 def test_sightings_beyond_the_chain_are_rejected():
     with pytest.raises(ValueError, match="1 to 3 sightings"):
         chain_model(4, 5)
@@ -155,13 +171,117 @@ def test_scenarios_have_six_entries():
 
 @pytest.mark.parametrize(
     "n, k, states, edges",
-    [(2, 1, 13, 14), (3, 2, 109, 192), (4, 2, 125, 224), (4, 3, 693, 1626)],
+    [(2, 1, 13, 14), (3, 2, 109, 192), (4, 2, 125, 224), (4, 3, 693, 1626), (5, 4, 3829, 11050)],
 )
 def test_chain_model_state_space_is_pinned(n, k, states, edges):
     # A change to the state abstraction (a field that splits or merges
     # states) shows up here before it shows up as a slower checker.
     graph = explore(chain_model(n, k))
     assert (len(graph.states), sum(len(out) for out in graph.edges)) == (states, edges)
+
+
+def _load_reference_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference_tool = _load_reference_tool()
+
+# Graph digests computed before the engine's states became plain tuples.
+CHAIN_DIGESTS = [
+    pytest.param(
+        (4, 3), {}, "f1c72467cdcbcc5c45b6a4c32c6a6d0c4fe88a11c02040e49896a3935331fca0", id="4-3"
+    ),
+    pytest.param(
+        (2, 1),
+        {"drop_notify": frozenset({"a2"})},
+        "40a909960fa3e980d27d5f04b795775f61dc8504024cddbb654fc046e1c4bcaf",
+        id="2-1-drop-notify-a2",
+    ),
+    pytest.param(
+        (3, 2),
+        {"both_claim_victory": True},
+        "ef4ee1ac3392e3e54e2c207891b1b37084188849ee923929cc631bf2ec26d1e6",
+        id="3-2-both-claim-victory",
+    ),
+]
+SCENARIO_DIGESTS = {
+    "nominal-two-agent": "1d3b0819cbadda2ce2f2dcae880c49cc3cf204babde16735afe87684cfa273dc",
+    "reports-reordered": "1d3b0819cbadda2ce2f2dcae880c49cc3cf204babde16735afe87684cfa273dc",
+    "sequential-growth": "febc173fd330bcdc6db167325e7d9e93868599ef81806bbeb9ef4cfd475731ee",
+    "interference-overlap": "febc173fd330bcdc6db167325e7d9e93868599ef81806bbeb9ef4cfd475731ee",
+    "larger-group-absorbs": "aa7229242f9c8ba6c3e11f2df76ac9481a31d8f1ccfedaae5819d61230687763",
+    "same-group-cancel": "30025b796754b4897a237c263295d5d5d5f0369b9f46fae1a505d5751b9a95de",
+}
+
+
+@pytest.mark.parametrize("args, faults, digest", CHAIN_DIGESTS)
+def test_chain_graph_is_pinned(args, faults, digest):
+    # Every state's fields, its sorted edges and its trace: a rewrite of the
+    # engine must explore the very same graph, not one of the same size.
+    assert reference_tool.graph_digest(explore(chain_model(*args, **faults))) == digest
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+def test_scenario_graph_is_pinned(name):
+    model = next(sc.model for sc in builtin_scenarios() if sc.name == name)
+    assert reference_tool.graph_digest(explore(model)) == SCENARIO_DIGESTS[name]
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_instance_merges_every_group_table(n):
+    # The live path (MapStore._run_instance) runs one sighting to quiescence
+    # over whatever group table the team has. Over every partition of n
+    # agents into groups, led by their smallest or by their largest member
+    # at true offsets, every cross-group sighting must merge the two groups
+    # under the rule's winner at true offsets and leave the rest alone.
+    agents = tuple(f"a{i + 1}" for i in range(n))
+    start = {a: (4 * i, i * i) for i, a in enumerate(agents)}
+    here = {a: (4 * i + 1, i * i - i) for i, a in enumerate(agents)}
+
+    def apart(p, q):
+        return (p[0] - q[0], p[1] - q[1])
+
+    for groups in _set_partitions(list(agents)):
+        for pick in (min, max):
+            leaders = {m: pick(g) for g in groups for m in g}
+            offsets = {m: apart(start[m], start[l]) for m, l in leaders.items()}
+            pairs = [(g, h) for g in groups for h in groups if g is not h]
+            for ga, gb in pairs:
+                for a, b in ((a, b) for a in ga for b in gb):
+                    s = Sighting(
+                        a=a,
+                        b=b,
+                        offset=apart(here[b], here[a]),
+                        pos_a=apart(here[a], start[a]),
+                        pos_b=apart(here[b], start[b]),
+                    )
+                    engine = MergeProtocol(agents, (s,), leaders=leaders, offsets=offsets)
+                    final, _ = engine.run_to_quiescence(engine.initial_state())
+                    la, lb, na, nb = leaders[a], leaders[b], len(ga), len(gb)
+                    won = la if na > nb or (na == nb and la < lb) else lb
+                    assert engine.winner_loser(engine.initial_state(), 0)[0] == won
+                    table, offs = dict(final.leaders), dict(final.offsets)
+                    for m in agents:
+                        if m in ga or m in gb:
+                            assert (table[m], offs[m]) == (won, apart(start[m], start[won]))
+                        else:
+                            assert (table[m], offs[m]) == (leaders[m], offsets[m])
+                    assert final.queue == () and final.lock is None
 
 
 @dataclass(frozen=True)
@@ -221,6 +341,21 @@ class TestAnyTransitionSystem:
         assert not refused and refused.counterexample == ("add 2", "add 2")
         with pytest.raises(ValueError):
             check_has_trace(system, graph, ("add 3",))
+
+    def test_edges_and_traces_read_back_per_state(self):
+        # Both are stored flat; each state's entry reads back as a whole.
+        graph = explore(Counter(4))
+        assert len(graph.edges) == len(graph.traces) == len(graph.states) == 6
+        assert graph.edges[0] == [("add 1", 1), ("add 2", 2)]
+        assert graph.edges[4] == [("done", 5)] and graph.edges[5] == []
+        assert list(graph.edges.successors(3)) == [4]
+        assert graph.traces[0] == () and graph.traces[3] == ("add 1", "add 2")
+        assert list(graph.traces)[4] == ("add 2", "add 2")
+        for seq in (graph.edges, graph.traces):
+            with pytest.raises(IndexError):
+                seq[6]
+            with pytest.raises(IndexError):
+                seq[-1]
 
     def test_stuck_counter_fails_the_checks(self):
         graph = explore(Counter(4, start=1, steps=(2,)))

@@ -7,15 +7,17 @@
 
 `digests` exports REV (`git archive`) and plays the reference set on it and
 on the working tree's `src`, once under each PYTHONHASHSEED in HASH_SEEDS,
-each play in its own process. It prints one row per match: the first 16 hex
-characters of the base and working-tree log digests (the full digest is
-compared), then whether the dense-cache plan-cache directories hold the same
-files with the same bytes. It exits 1 when any digest or cache file differs,
-between the trees or between hash seeds.
+each play in its own process. It prints one row per match and one per
+protocol model: the first 16 hex characters of the base and working-tree
+log or graph digests (the full digest is compared), then whether the
+dense-cache plan-cache directories hold the same files with the same bytes.
+It exits 1 when any digest or cache file differs, between the trees or
+between hash seeds.
 
 `play` plays the set on the `torusarena` that PYTHONPATH finds, with the
-dense-cache matches sharing the fresh directory DIR, and prints one JSON
-object mapping each match's name to its full log digest.
+dense-cache matches sharing the fresh directory DIR, explores the protocol
+models, and prints one JSON object mapping each match's name to its full log
+digest and each model's name to its graph digest.
 
 `unrun` plays the set on the working tree's `src` under a `sys.settrace`
 line tracer (with `--tests`, runs the tier-1 suite under it as well) and
@@ -34,12 +36,19 @@ The reference set:
 - scripted assembly: the acceptance suite's criterion-7 layout (a
   `FixedLayout`: one goal cluster, one taskboard, a b1 and a b2 dispenser,
   pinned spawns, one scripted 2-block task), idle, 300 steps, seed 6.
+
+The protocol models: the protocol-check workload's 5-sighting model and its
+two fault models, built from `bench/run.py`'s PROTOCOL_PAIRS and
+PROTOCOL_FAULTS, and the six built-in scenarios' models. A graph digest is a
+sha256 over every explored state's fields, its sorted edges and its trace.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -53,6 +62,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_record import ROOT, export_revision  # noqa: E402
 
 HASH_SEEDS = ("0", "12345")
+STATE_FIELDS = ("leaders", "offsets", "local", "sighted", "queue", "lock", "instances", "done")
+INSTANCE_FIELDS = ("phase", "report_a", "report_b", "addr_a", "addr_b", "winner", "notifies")
 
 
 def reference_set(harness, cache_dir: str) -> list[tuple[str, object]]:
@@ -95,13 +106,57 @@ def reference_set(harness, cache_dir: str) -> list[tuple[str, object]]:
     return out
 
 
+def protocol_models(mergecheck) -> list[tuple[str, object]]:
+    """(name, MergeProtocol) pairs: the protocol-check workload's model and
+    its two fault models, as bench/run.py builds them, then the six
+    built-in scenarios' models."""
+    sys.path.insert(0, str(ROOT / "bench"))  # run.py imports its sibling modules
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = [("protocol-check model", mergecheck.chain_model(4, pairs=bench.PROTOCOL_PAIRS))]
+    for pairs, fault in bench.PROTOCOL_FAULTS:
+        name = " ".join(
+            f"{k} {' '.join(sorted(v)) if isinstance(v, frozenset) else v}" for k, v in fault.items()
+        )
+        out.append((f"protocol-check {name}", mergecheck.chain_model(4, pairs=pairs, **fault)))
+    out.extend((f"scenario {sc.name}", sc.model) for sc in mergecheck.builtin_scenarios())
+    return out
+
+
+def state_fields(state) -> tuple:
+    """A protocol state's fields in order, as plain tuples: the group table
+    and the local views as (agent, value) pairs, each instance as a tuple of
+    its fields in schedule order. An entry of `instances` may also be a
+    (k, instance) pair, the layout before instance k sat at position k."""
+    out = []
+    for name in STATE_FIELDS:
+        value = getattr(state, name)
+        if name == "instances":
+            insts = [entry if hasattr(entry, "phase") else entry[1] for entry in value]
+            value = tuple(tuple(getattr(inst, f) for f in INSTANCE_FIELDS) for inst in insts)
+        out.append(value)
+    return tuple(out)
+
+
+def graph_digest(graph) -> str:
+    """sha256 over an explored graph: per state, its fields, its sorted
+    (label, successor) edges and its trace."""
+    h = hashlib.sha256()
+    for state, edges, trace in zip(graph.states, graph.edges, graph.traces):
+        h.update(repr((state_fields(state), tuple(edges), trace)).encode() + b"\n")
+    return h.hexdigest()
+
+
 def cmd_play(args) -> int:
-    from torusarena import harness
+    from torusarena import harness, mergecheck
 
     digests = {}
     for name, config in reference_set(harness, args.cache_dir):
         _report, log = harness.run_match(config)
         digests[name] = harness.log_digest(log)
+    for name, model in protocol_models(mergecheck):
+        digests[name] = graph_digest(mergecheck.explore(model))
     print(json.dumps(digests))
     return 0
 
@@ -139,13 +194,13 @@ def cmd_digests(args) -> int:
                 caches[side, hash_seed] = snapshot(cache_dir)
     first = ("base", HASH_SEEDS[0])
     same = True
-    print(f"{'match':<34} {'base':<16}  change")
+    print(f"{'match or protocol model':<40} {'base':<16}  change")
     for name, base in digests[first].items():
         change = digests["change", HASH_SEEDS[0]][name]
         agree = all(d[name] == base for d in digests.values())
         same &= agree
         note = "" if agree else "  DIFFERS" + ("" if change != base else " across PYTHONHASHSEED")
-        print(f"{name:<34} {base[:16]}  {change[:16]}{note}")
+        print(f"{name:<40} {base[:16]}  {change[:16]}{note}")
     files = caches[first]
     print(f"dense-cache cache dir: {len(files)} files")
     for (side, hash_seed), snap in caches.items():
