@@ -74,8 +74,11 @@ class MatchConfig:
             problems.append(f"opponent: unknown policy {self.opponent!r}")
         if not (0.0 <= self.obstacle_density <= 0.5):
             problems.append("obstacle_density: must be within [0, 0.5]")
-        if self.group_capacity < 1:
-            problems.append(f"group_capacity: must be positive, got {self.group_capacity}")
+        if self.group_capacity < 3:
+            problems.append(
+                "group_capacity: a group needs an origin, a deliverer and a retriever,"
+                f" so at least 3, got {self.group_capacity}"
+            )
         if problems:
             raise MatchConfigError("; ".join(problems))
 

@@ -191,14 +191,13 @@ class MapStore:
         engine = MergeProtocol(self.agents, (s,), leaders=self.leaders, offsets=self.offsets)
         state = engine.initial_state()
         final, transcript = engine.run_to_quiescence(state)
-        winner, _ = engine.winner_loser(state, 0)
-        before = set(self.group_members(winner))
+        moved = zip(state.leaders, final.leaders)
+        absorbed = tuple(a for (a, was), (_, now) in moved if was != now)
         self.leaders = dict(final.leaders)
         self.offsets = dict(final.offsets)
         self._views.clear()
-        absorbed = tuple(a for a in self.group_members(winner) if a not in before)
         self.check_one_leader()
-        return MergeRecord(s, winner, absorbed, tuple(transcript))
+        return MergeRecord(s, final.instances[0].winner, absorbed, tuple(transcript))
 
     def set_dims(self, dims: Dims) -> None:
         self.dims = dims

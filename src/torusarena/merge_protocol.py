@@ -15,10 +15,12 @@ successor with one constructor call. `leaders`, `offsets` and `local` stay
 (agent, value) pairs sorted by agent, the shape callers read them in; a
 model maps each agent to its position once, so a lookup is
 `state.leaders[i][1]`. Sightings fire in schedule order and each appends its
-instance, so instance k sits at position k of `instances`. A model hands out
-one object per distinct event and per distinct part of a state (instance,
-queue, table, view): an explored graph holds tens of thousands of states
-but only dozens of distinct parts, and every edge shares its event's label.
+instance, so instance k sits at position k of `instances`. An event is a
+named tuple whose fields begin with its sort key, so `enabled` sorts events
+as plain tuples. A model interns one object per distinct event and per
+distinct part of a state (instance, queue, table, view): an explored graph
+holds tens of thousands of states but only dozens of distinct parts, and
+every edge shares its event's label.
 """
 
 from __future__ import annotations
@@ -64,33 +66,19 @@ class ProtocolState(NamedTuple):
     done: bool = False
 
 
-class Event:
-    """One transition; its label and sort key are made when it is."""
+KINDS = ("sight", "report", "forward", "cancel", "propose", "absorb", "notify", "done")
 
-    __slots__ = ("kind", "k", "agent", "extra", "label", "_key")
 
-    _ORDER = {
-        "sight": 0,
-        "report": 1,
-        "forward": 2,
-        "cancel": 3,
-        "propose": 4,
-        "absorb": 5,
-        "notify": 6,
-        "done": 7,
-    }
+class Event(NamedTuple):
+    """One transition. Its fields in order are its sort key: the rank of its
+    kind in `KINDS`, then instance, agent and extra name."""
 
-    def __init__(self, kind: str, k: int = -1, agent: str = "", extra: str = ""):
-        # kind: sight report forward cancel propose absorb notify done
-        self.kind, self.k, self.agent, self.extra = kind, k, agent, extra
-        self._key = (self._ORDER[kind], k, agent, extra)
-        if extra:  # sight, cancel, propose
-            self.label = f"{kind} {agent} {extra}"
-        else:
-            self.label = f"{kind} {agent}" if agent else kind
-
-    def sort_key(self) -> tuple:
-        return self._key
+    rank: int
+    k: int  # the instance; -1 for done
+    agent: str
+    extra: str  # the second agent of sight, cancel and propose
+    kind: str
+    label: str
 
 
 @dataclass
@@ -121,7 +109,7 @@ class MergeProtocol:
     def alphabet_ok(self, label: str) -> bool:
         """Is `label` an event name over this system's agents?"""
         parts = label.split()
-        return bool(parts) and parts[0] in Event._ORDER and all(p in self.agents for p in parts[1:])
+        return bool(parts) and parts[0] in KINDS and all(p in self.agents for p in parts[1:])
 
     # ------------------------------------------------------------- decision
 
@@ -156,7 +144,8 @@ class MergeProtocol:
         key = (kind, k, agent, extra)
         event = self._events.get(key)
         if event is None:
-            event = self._events[key] = Event(kind, k, agent, extra)
+            label = " ".join(p for p in (kind, agent, extra) if p)
+            event = self._events[key] = Event(KINDS.index(kind), k, agent, extra, kind, label)
         return event
 
     def enabled(self, state: ProtocolState) -> list[Event]:
@@ -204,7 +193,7 @@ class MergeProtocol:
             heads = {l for _, l in leaders} | {l for _, l in state.local}
             if len(heads) == 1:
                 out.append(event("done"))
-        out.sort(key=Event.sort_key)
+        out.sort()
         return out
 
     def apply(self, state: ProtocolState, event: Event) -> ProtocolState:
@@ -271,11 +260,12 @@ class MergeProtocol:
 
     def run_to_quiescence(self, state: ProtocolState) -> tuple[ProtocolState, list[str]]:
         """Execute with the canonical deterministic policy (first enabled
-        event wins) until nothing but `done` remains. Returns the transcript."""
+        event wins) until nothing but `done` remains; `done` sorts last.
+        Returns the transcript."""
         transcript: list[str] = []
         while True:
-            events = [e for e in self.enabled(state) if e.kind != "done"]
-            if not events:
+            events = self.enabled(state)
+            if not events or events[0].kind == "done":
                 return state, transcript
             state = self.apply(state, events[0])
             transcript.append(events[0].label)

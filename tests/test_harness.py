@@ -81,10 +81,14 @@ class TestConfigValidation:
         with pytest.raises(MatchConfigError, match="dims"):
             cfg.validate()
 
-    def test_group_capacity_below_one_rejected_before_play(self):
-        # Unchecked, a zero capacity divides by zero once building starts.
-        cfg = MatchConfig(dims=(20, 20), team_size=5, steps=150, seed=1, group_capacity=0)
-        with pytest.raises(MatchConfigError, match="group_capacity"):
+    @pytest.mark.parametrize("capacity", [0, 1, 2])
+    def test_group_capacity_below_three_rejected_before_play(self, capacity):
+        # Unchecked, a zero capacity divides by zero once building starts;
+        # capacity 1 forms groups with no deliverer, whose None then names
+        # two groups at once, and capacity 2 groups with no retriever, whose
+        # selected tasks can never be built.
+        cfg = MatchConfig(dims=(20, 20), team_size=5, steps=150, seed=1, group_capacity=capacity)
+        with pytest.raises(MatchConfigError, match="group_capacity: a group needs an origin"):
             cfg.validate()
         with pytest.raises(MatchConfigError, match="group_capacity"):
             run_match(cfg)

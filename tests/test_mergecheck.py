@@ -1,9 +1,11 @@
 import importlib.util
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+from torusarena.mapping import MapStore
 from torusarena.merge_protocol import MergeProtocol, Sighting
 from torusarena.mergecheck import (
     ExplorationBound,
@@ -248,8 +250,10 @@ def test_one_instance_merges_every_group_table(n):
     # over whatever group table the team has. Over every partition of n
     # agents into groups, led by their smallest or by their largest member
     # at true offsets, every cross-group sighting must merge the two groups
-    # under the rule's winner at true offsets and leave the rest alone.
+    # under the rule's winner at true offsets and leave the rest alone, and
+    # MapStore.process_merges must record that merge.
     agents = tuple(f"a{i + 1}" for i in range(n))
+    store = MapStore(agents)
     start = {a: (4 * i, i * i) for i, a in enumerate(agents)}
     here = {a: (4 * i + 1, i * i - i) for i, a in enumerate(agents)}
 
@@ -271,10 +275,17 @@ def test_one_instance_merges_every_group_table(n):
                         pos_b=apart(here[b], start[b]),
                     )
                     engine = MergeProtocol(agents, (s,), leaders=leaders, offsets=offsets)
-                    final, _ = engine.run_to_quiescence(engine.initial_state())
+                    final, transcript = engine.run_to_quiescence(engine.initial_state())
                     la, lb, na, nb = leaders[a], leaders[b], len(ga), len(gb)
                     won = la if na > nb or (na == nb and la < lb) else lb
                     assert engine.winner_loser(engine.initial_state(), 0)[0] == won
+                    # The live record reads the same run: its winner, the
+                    # losing group in name order, the same transcript.
+                    store.leaders, store.offsets = dict(leaders), dict(offsets)
+                    (record,) = store.process_merges([s])
+                    lost = sorted(gb if won == la else ga)
+                    assert (record.winner, record.absorbed) == (won, tuple(lost))
+                    assert record.transcript == tuple(transcript)
                     table, offs = dict(final.leaders), dict(final.offsets)
                     for m in agents:
                         if m in ga or m in gb:
@@ -362,3 +373,81 @@ class TestAnyTransitionSystem:
         verdict = check_deadlock_free(graph)
         assert not verdict and verdict.counterexample == ("add 2",)
         assert not check_reaches_done(graph)
+
+
+def replay_has_trace(system, graph, trace):
+    """Has-trace by re-execution, the reference for the checker's walk over
+    the explored edges: every state the trace's prefix reaches from the
+    initial state, found through the system's own enabled and apply.
+    Returns (passed, counterexample)."""
+    for label in trace:
+        if not system.alphabet_ok(label):
+            raise ValueError(f"unknown event name in trace: {label!r}")
+    frontier = {graph.states[0]}
+    for pos, label in enumerate(trace):
+        nxt = set()
+        for state in frontier:
+            for event in system.enabled(state):
+                if event.label == label:
+                    nxt.add(system.apply(state, event))
+        if not nxt:
+            return False, tuple(trace[:pos])
+        frontier = nxt
+    return True, None
+
+
+def _perturbed_traces(graph, count, seed):
+    """Prefixes of the graph's own traces with one to three of its edge
+    labels appended, which the rules often refuse."""
+    rng = random.Random(seed)
+    labels = sorted({label for out in graph.edges for label, _ in out})
+    for _ in range(count):
+        trace = graph.traces[rng.randrange(len(graph.states))]
+        trace = trace[: rng.randint(0, len(trace))]
+        yield trace + tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
+
+
+def _has_trace_cases():
+    """(system, graph, trace): the scenarios, the refused and unknown-label
+    traces above, and on chain_model(4, 3) and its two fault models every
+    done state's witness plus 300 perturbed traces."""
+    for sc in builtin_scenarios():
+        yield sc.model, explore(sc.model), sc.trace
+    two = chain_model(2, 1)
+    graph = explore(two)
+    for trace in (
+        ("sight a1 a2", "propose a2 a1", "report a1"),
+        ("sight a1 a2", "teleport a1"),
+        ("sight a1 a9",),
+    ):
+        yield two, graph, trace
+    counter = Counter(4)
+    graph = explore(counter)
+    for trace in (("add 1", "add 1", "add 2", "done"), ("add 2", "add 2", "add 1"), ("add 3",)):
+        yield counter, graph, trace
+    faults = ({}, {"both_claim_victory": True}, {"drop_notify": frozenset({"a2"})})
+    for seed, fault in enumerate(faults):
+        model = chain_model(4, 3, **fault)
+        graph = explore(model)
+        for i in graph.done_ids():
+            yield model, graph, graph.traces[i]
+        for trace in _perturbed_traces(graph, 300, seed):
+            yield model, graph, trace
+
+
+def test_has_trace_walk_agrees_with_re_execution():
+    # check_has_trace follows the explored edges; re-running the rules must
+    # give the same verdict and counterexample, or the same input error.
+    passed = []
+    for system, graph, trace in _has_trace_cases():
+        try:
+            expected = replay_has_trace(system, graph, trace)
+        except ValueError:
+            with pytest.raises(ValueError):
+                check_has_trace(system, graph, trace)
+            continue
+        verdict = check_has_trace(system, graph, trace)
+        assert (verdict.passed, verdict.counterexample) == expected, trace
+        passed.append(verdict.passed)
+    # 1 085 traces with a verdict (264 performable) and 3 input errors.
+    assert (len(passed), passed.count(True)) == (1085, 264)

@@ -143,3 +143,13 @@ def test_sweep_checks_retrievers_beside_their_slot(checked_steps):
         if checked_steps["beside_slot"] > 0:
             break
     assert checked_steps["beside_slot"] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_smallest_group_capacity_holds_every_step(checked_steps, seed):
+    # Capacity 3 is the least that validates: one origin, one deliverer and
+    # one retriever per group; a team of 4 leaves one hunter beside it.
+    config = MatchConfig(dims=(20, 20), team_size=4, steps=STEPS, seed=seed, group_capacity=3)
+    report, _ = run_match(config)
+    assert report.steps == len(checked_steps["steps"]) == STEPS
+    assert checked_steps["groups"] > 0

@@ -127,14 +127,12 @@ def protocol_models(mergecheck) -> list[tuple[str, object]]:
 def state_fields(state) -> tuple:
     """A protocol state's fields in order, as plain tuples: the group table
     and the local views as (agent, value) pairs, each instance as a tuple of
-    its fields in schedule order. An entry of `instances` may also be a
-    (k, instance) pair, the layout before instance k sat at position k."""
+    its fields in schedule order."""
     out = []
     for name in STATE_FIELDS:
         value = getattr(state, name)
         if name == "instances":
-            insts = [entry if hasattr(entry, "phase") else entry[1] for entry in value]
-            value = tuple(tuple(getattr(inst, f) for f in INSTANCE_FIELDS) for inst in insts)
+            value = tuple(tuple(getattr(inst, f) for f in INSTANCE_FIELDS) for inst in value)
         out.append(value)
     return tuple(out)
 
