@@ -126,12 +126,12 @@ def cmd_cache_stats(args) -> int:
 def cmd_export_map(args) -> int:
     match = play(_config_from(args))
     _write_log(args, match.log)
-    maps = match.team.store.maps
+    store = match.team.store
     agent = args.agent or match.team.names[0]
-    if agent not in maps:
+    if agent not in store.leaders:
         print(f"unknown agent {agent!r}", file=sys.stderr)
         return 1
-    print(dump_map(maps[agent]), end="")
+    print(dump_map(store, agent), end="")
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 from .plan_cache import CacheStore, classify_key
 from .team import TeamController
 from .torus import DIRECTIONS, OFFSET_DIRS, Coord, delta, torus_distance
-from .world import ACCEPT_RADIUS, Action, FixedLayout, Task, World, WorldConfig
+from .world import ACCEPT_RADIUS, GOAL, Action, FixedLayout, Task, World, WorldConfig
 
 LOG_FORMAT_VERSION = 1
 TEAM = "alpha"
@@ -192,11 +192,7 @@ class GreedyCourier:
                 self.phase[name] = "to_goal"
             else:
                 disp = self._nearest(world, me.pos, "dispensers")
-                off = delta(me.pos, disp, world.dims)
-                if abs(off[0]) + abs(off[1]) == 1:
-                    return Action.attach(OFFSET_DIRS[off])
-                self.phase[name] = "to_dispenser"
-                return Action.skip()
+                return Action.attach(OFFSET_DIRS[delta(me.pos, disp, world.dims)])
         if phase == "to_goal":
             goal = self._nearest(world, me.pos, "goals")
             if goal is None:
@@ -218,7 +214,7 @@ class GreedyCourier:
             cells = self.nearest.get(which)
             if cells is None:
                 if which == "goals":
-                    cells = sorted(c for c, t in world.terrain.items() if t == "goal")
+                    cells = sorted(c for c, t in world.terrain.items() if t == GOAL)
                 else:
                     cells = sorted(getattr(world, which))
                 self.nearest[which] = cells

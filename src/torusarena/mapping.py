@@ -1,84 +1,75 @@
-"""Per-agent maps of static entities, the leader-based merge of map frames,
-and the cartography machine that discovers the torus dimensions.
+"""Each group's map of static entities, the leader-based merge of map
+frames, and the cartography machine that discovers the torus dimensions.
 
-Every agent anchors its own frame at its start cell. Merging never rewrites
-map contents: it only updates the shared group table (leader plus frame
-offset per agent), and a team-level read translates member maps through
-that table. The translated union is kept per leader, with the addition
-counts of the member maps it was built from; it is rebuilt when a member's
-map has gained an entry since (`record_statics` and `normalize` count
-them), and every kept view is dropped by a merge and by `set_dims`. The
-merge choreography itself is executed by the shared protocol engine, one
+Every agent anchors its own frame at its start cell and keeps its position
+there. A group keeps one map, in its leader's frame: a percept folds straight
+into the agent's group map through the group table (leader plus frame offset
+per agent), and a merge moves the losing group's map into the winner's frame
+once, by the translation the merge applied to the loser's offsets. The merge
+choreography itself is executed by the shared protocol engine, one
 serialized instance per sighting.
 
 `Cartography` owns the cartographer pairs (at most one per dimension) and
 the sides they measured; when the second side is measured it hands the grid
-size to `MapStore.set_dims`, its one writer (which also stamps it on every
-agent's `LocalMap`).
+size to `MapStore.set_dims`, the one writer of the store's one copy of it,
+which wraps every position and every group map.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .identity import Identification
 from .merge_protocol import MergeProtocol, Sighting
-from .torus import DIR_OFFSETS, Coord, Dims, Offset, add, neg, torus_distance, wrap
-from .world import CLEAR_COST, Action, Percept
+from .torus import DIR_OFFSETS, Coord, Dims, Offset, add, neg, sub, torus_distance, wrap
+from .world import CLEAR_COST, GOAL, Action, Percept
 
 Vec = tuple[int, int]
 
 
-@dataclass
-class LocalMap:
-    """Static entities in the owner's private frame (start cell = (0,0))."""
+def _shift(c: Coord, by: Vec, dims: Optional[Dims]) -> Coord:
+    """`c` moved by `by`, wrapped once the grid size is known."""
+    out = add(c, by)
+    return wrap(*out, dims) if dims else out
 
-    owner: str
-    self_pos: Coord = (0, 0)
+
+@dataclass
+class GroupMap:
+    """Static entities known to one group, in its leader's frame."""
+
     dispensers: set[tuple[Coord, str]] = field(default_factory=set)
     goals: set[Coord] = field(default_factory=set)
     taskboards: set[Coord] = field(default_factory=set)
-    dims: Optional[Dims] = None
-    # Bumped by each change to the entries, so a kept merged view can tell
-    # whether this map changed since it was built.
-    additions: int = 0
 
-    def _norm(self, c: Coord) -> Coord:
-        return wrap(*c, self.dims) if self.dims else c
+    def dispensers_of(self, block_type: str) -> set[Coord]:
+        return {c for c, t in self.dispensers if t == block_type}
 
-    def advance(self, off: Offset) -> None:
-        self.self_pos = self._norm(add(self.self_pos, off))
+    def moved(self, by: Vec, dims: Optional[Dims]) -> GroupMap:
+        """Every entry moved by `by` and wrapped once the grid size is known:
+        entries seen a grid's size apart collapse into one."""
+        return GroupMap(
+            {(_shift(c, by, dims), t) for c, t in self.dispensers},
+            {_shift(c, by, dims) for c in self.goals},
+            {_shift(c, by, dims) for c in self.taskboards},
+        )
 
 
-def record_statics(local: LocalMap, percept: Percept) -> LocalMap:
-    """Fold the static entities of one percept into the map. Dynamic things
-    (agents, blocks, obstacles) are deliberately not remembered."""
-    base = local.self_pos
-    size = len(local.dispensers) + len(local.goals) + len(local.taskboards)
+def record_statics(store: MapStore, agent: str, percept: Percept) -> None:
+    """Fold the static entities of one percept into the agent's group map.
+    Dynamic things (agents, blocks, obstacles) are deliberately not
+    remembered."""
+    view, dims = store.views[store.leaders[agent]], store.dims
+    base = add(store.positions[agent], store.offsets[agent])
     for thing in percept.things:
         if thing.kind == "dispenser":
-            local.dispensers.add((local._norm(add(base, thing.offset)), thing.detail))
+            view.dispensers.add((_shift(base, thing.offset, dims), thing.detail))
     for off, kind in percept.terrain:
-        if kind == "goal":
-            local.goals.add(local._norm(add(base, off)))
+        if kind == GOAL:
+            view.goals.add(_shift(base, off, dims))
     for off in percept.taskboards:
-        local.taskboards.add(local._norm(add(base, off)))
-    if len(local.dispensers) + len(local.goals) + len(local.taskboards) != size:
-        local.additions += 1
-    return local
-
-
-def normalize(local: LocalMap, dims: Dims) -> LocalMap:
-    """Wrap every stored coordinate; repeated observations of one entity at
-    coordinates a map-size apart collapse to a single entry."""
-    local.dims = dims
-    local.self_pos = wrap(*local.self_pos, dims)
-    local.dispensers = {(wrap(*c, dims), t) for c, t in local.dispensers}
-    local.goals = {wrap(*c, dims) for c in local.goals}
-    local.taskboards = {wrap(*c, dims) for c in local.taskboards}
-    local.additions += 1
-    return local
+        view.taskboards.add(_shift(base, off, dims))
 
 
 def nearest(entries: Iterable[Coord], frm: Coord, dims: Dims) -> Optional[Coord]:
@@ -91,14 +82,18 @@ def nearest(entries: Iterable[Coord], frm: Coord, dims: Dims) -> Optional[Coord]
     return best[1] if best else None
 
 
-def dump_map(local: LocalMap) -> str:
+def dump_map(store: MapStore, agent: str) -> str:
+    """The agent's group map in the agent's own frame."""
+    dims = store.dims
+    own = store.merged_view(agent).moved(neg(store.offsets[agent]), dims)
+    x, y = store.positions[agent]
     lines = [
-        f"owner: {local.owner}",
-        f"dims: {local.dims.w}x{local.dims.h}" if local.dims else "dims: unknown",
-        f"self: {local.self_pos[0]},{local.self_pos[1]}",
-        "dispensers: " + "; ".join(f"{x},{y}:{t}" for (x, y), t in sorted(local.dispensers)),
-        "goals: " + "; ".join(f"{x},{y}" for x, y in sorted(local.goals)),
-        "taskboards: " + "; ".join(f"{x},{y}" for x, y in sorted(local.taskboards)),
+        f"owner: {agent}",
+        f"dims: {dims.w}x{dims.h}" if dims else "dims: unknown",
+        f"self: {x},{y}",
+        "dispensers: " + "; ".join(f"{x},{y}:{t}" for (x, y), t in sorted(own.dispensers)),
+        "goals: " + "; ".join(f"{x},{y}" for x, y in sorted(own.goals)),
+        "taskboards: " + "; ".join(f"{x},{y}" for x, y in sorted(own.taskboards)),
     ]
     return "\n".join(lines) + "\n"
 
@@ -111,70 +106,44 @@ class MergeRecord:
     transcript: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class MergedView:
-    dispensers: frozenset[tuple[Coord, str]]
-    goals: frozenset[Coord]
-    taskboards: frozenset[Coord]
-
-    def dispensers_of(self, block_type: str) -> set[Coord]:
-        return {c for c, t in self.dispensers if t == block_type}
-
-
 class MapStore:
-    """Team blackboard: every member's map plus the group table. Reads are
-    cheap; merges rewrite the table one serialized instance at a time."""
+    """Team blackboard: the group table, each agent's own-frame position and
+    one map per group, keyed by its leader. Reads are cheap; merges rewrite
+    the table one serialized instance at a time."""
 
     def __init__(self, agents: Iterable[str]):
         self.agents = tuple(sorted(agents))
-        self.maps = {a: LocalMap(owner=a) for a in self.agents}
         self.leaders = {a: a for a in self.agents}
         self.offsets: dict[str, Vec] = {a: (0, 0) for a in self.agents}
         self.dims: Optional[Dims] = None
-        # leader -> (members, their maps' addition counts, merged view)
-        self._views: dict[str, tuple[list[str], list[int], MergedView]] = {}
+        self.positions: dict[str, Coord] = {a: (0, 0) for a in self.agents}
+        # A group's map is made on its first use, so a group table written
+        # directly needs no maps written with it.
+        self.views: defaultdict[str, GroupMap] = defaultdict(GroupMap)
 
     # ------------------------------------------------------------- structure
 
     def leader_of(self, agent: str) -> str:
         return self.leaders[agent]
 
-    def group_members(self, leader: str) -> list[str]:
-        return sorted(a for a, l in self.leaders.items() if l == leader)
-
     def check_one_leader(self) -> None:
         for a, l in self.leaders.items():
             assert self.leaders[l] == l, f"leader {l} of {a} is not its own leader"
 
     def to_leader(self, agent: str, c: Coord) -> Coord:
-        out = add(c, self.offsets[agent])
-        return wrap(*out, self.dims) if self.dims else out
+        return _shift(c, self.offsets[agent], self.dims)
 
     def position_of(self, agent: str) -> Coord:
-        return self.to_leader(agent, self.maps[agent].self_pos)
+        return self.to_leader(agent, self.positions[agent])
+
+    def advance(self, agent: str, off: Offset) -> None:
+        self.positions[agent] = _shift(self.positions[agent], off, self.dims)
 
     # ----------------------------------------------------------------- reads
 
-    def merged_view(self, agent: str) -> MergedView:
-        """All static entities known to the agent's group, in leader frame:
-        the kept view while no member's map has changed since it was built."""
-        leader = self.leaders[agent]
-        maps = self.maps
-        kept = self._views.get(leader)
-        if kept is not None:
-            members, counts, view = kept
-            if [maps[m].additions for m in members] == counts:
-                return view
-        members = self.group_members(leader)
-        dispensers, goals, taskboards = set(), set(), set()
-        for m in members:
-            local = maps[m]
-            dispensers |= {(self.to_leader(m, c), t) for c, t in local.dispensers}
-            goals |= {self.to_leader(m, c) for c in local.goals}
-            taskboards |= {self.to_leader(m, c) for c in local.taskboards}
-        view = MergedView(frozenset(dispensers), frozenset(goals), frozenset(taskboards))
-        self._views[leader] = (members, [maps[m].additions for m in members], view)
-        return view
+    def merged_view(self, agent: str) -> GroupMap:
+        """All static entities known to the agent's group, in leader frame."""
+        return self.views[self.leaders[agent]]
 
     # ---------------------------------------------------------------- merges
 
@@ -193,17 +162,27 @@ class MapStore:
         final, transcript = engine.run_to_quiescence(state)
         moved = zip(state.leaders, final.leaders)
         absorbed = tuple(a for (a, was), (_, now) in moved if was != now)
+        winner, first = final.instances[0].winner, absorbed[0]
+        # The engine moves every member of the losing group by one
+        # translation; the losing group's map moves by it too.
+        loser, before = self.leaders[first], self.offsets[first]
         self.leaders = dict(final.leaders)
         self.offsets = dict(final.offsets)
-        self._views.clear()
         self.check_one_leader()
-        return MergeRecord(s, final.instances[0].winner, absorbed, tuple(transcript))
+        lost = self.views.pop(loser, None)
+        if lost is not None:
+            lost = lost.moved(sub(self.offsets[first], before), self.dims)
+            won = self.views[winner]
+            won.dispensers |= lost.dispensers
+            won.goals |= lost.goals
+            won.taskboards |= lost.taskboards
+        return MergeRecord(s, winner, absorbed, tuple(transcript))
 
     def set_dims(self, dims: Dims) -> None:
         self.dims = dims
-        self._views.clear()
-        for m in self.maps.values():
-            normalize(m, dims)
+        self.positions = {a: wrap(*c, dims) for a, c in self.positions.items()}
+        for leader, view in self.views.items():
+            self.views[leader] = view.moved((0, 0), dims)
 
 
 # --------------------------------------------------------------- cartography

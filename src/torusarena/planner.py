@@ -35,9 +35,9 @@ from .torus import (
     torus_distance,
     wrap,
 )
-from .world import CLEAR_COST, Action, Percept
+from .world import CLEAR_COST, EMPTY, OBSTACLE, Action, Percept
 
-EMPTY, OBSTACLE, BLOCKED = "empty", "obstacle", "blocked"
+BLOCKED = "blocked"
 
 # A plan is a tuple of tokens in the cache file spelling.
 Plan = tuple[str, ...]

@@ -8,8 +8,9 @@ agent in a pair walk for it.
 The controller is the in-process stand-in for the team's message fabric:
 identification replies, merge reports and group signals all resolve between
 steps, and every per-agent decision reads only that agent's percept plus the
-shared blackboard (maps, group table, cartography pairs). The grid size has
-one writer, `MapStore.set_dims`.
+shared blackboard (each group's map, the group table and each agent's
+own-frame position, the cartography pairs). The store holds the one copy of
+the grid size, and `MapStore.set_dims` is its one writer.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .torus import (
     torus_distance,
     wrap,
 )
-from .world import ACCEPT_RADIUS, CLEAR_COST, Action, Percept, Task
+from .world import ACCEPT_RADIUS, CLEAR_COST, GOAL, Action, Percept, Task
 
 EXPLORER = "explorer"
 ORIGIN = "origin"
@@ -231,7 +232,7 @@ class TeamController:
         self._step = step
         self._note_results(percepts)
         for name in self.names:
-            record_statics(self.store.maps[name], percepts[name])
+            record_statics(self.store, name, percepts[name])
         idents, _stats = identification_round(self.team, percepts, step)
         if idents:
             self._emit("identification", count=len(idents))
@@ -276,7 +277,7 @@ class TeamController:
                 and last == ("move", "success")
             ):
                 off = DIR_OFFSETS[rt.last_action.direction]
-                self.store.maps[name].advance(off)
+                self.store.advance(name, off)
                 self.cartography.moved(name)
             elif last == ("accept", "success"):
                 rt.accepted_tasks.add(rt.last_action.task)
@@ -291,8 +292,8 @@ class TeamController:
                 a=fwd.observer,
                 b=fwd.observed,
                 offset=fwd.offset,
-                pos_a=self.store.maps[fwd.observer].self_pos,
-                pos_b=self.store.maps[fwd.observed].self_pos,
+                pos_a=self.store.positions[fwd.observer],
+                pos_b=self.store.positions[fwd.observed],
             )
             for fwd, _back in pairs
             if leader_of(fwd.observer) != leader_of(fwd.observed)
@@ -458,8 +459,6 @@ class TeamController:
             self._emit("task_selected", group=group.gid, task=choice.name)
 
     def _assign_slots(self, group: TaskGroup) -> None:
-        group.staged = set()
-        group.swap_phase = "none"
         reqs = group.requirement_list()
         # select_task never picks more requirements than the group has retrievers.
         for slot, (name, (off, btype)) in enumerate(zip(group.retrievers, reqs)):
@@ -537,11 +536,11 @@ class TeamController:
 
     def _explorer_policy(self, rt: AgentRuntime, percept: Percept) -> Action:
         if not self.building and self.bouncer_count < MAX_BOUNCERS:
-            goal_offs = [off for off, kind in percept.terrain if kind == "goal"]
+            goal_offs = [off for off, kind in percept.terrain if kind == GOAL]
             if goal_offs:
                 rt.role = BULLY_BOUNCER
                 rt.bully = BullyState(
-                    patrol_center=add(self.store.maps[rt.name].self_pos, min(goal_offs))
+                    patrol_center=add(self.store.positions[rt.name], min(goal_offs))
                 )
                 self.bouncer_count += 1
                 self._emit("role_change", agent=rt.name, role=BULLY_BOUNCER)
@@ -586,7 +585,7 @@ class TeamController:
             st.patrol_center = self._pick_patrol_center(rt)
             if st.patrol_center is None:
                 return self._explorer_movement_only(rt, percept)
-        pos = self.store.maps[rt.name].self_pos if rt.role == BULLY_BOUNCER else self.position_of(rt.name)
+        pos = self.store.positions[rt.name] if rt.role == BULLY_BOUNCER else self.position_of(rt.name)
         target = add(st.patrol_center, PATROL_RING[st.patrol_phase])
         d = self.store.dims
         if d:

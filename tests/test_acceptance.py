@@ -142,22 +142,24 @@ def _merge_case(world, store, a, b):
                 a=a,
                 b=b,
                 offset=off,
-                pos_a=store.maps[a].self_pos,
-                pos_b=store.maps[b].self_pos,
+                pos_a=store.positions[a],
+                pos_b=store.positions[b],
             )
         ]
     )
 
 
 def _frames_match_ground_truth(world, store):
-    for name in store.agents:
-        leader = store.leader_of(name)
-        for c, _t in store.maps[name].dispensers:
-            got = wrap(*store.to_leader(name, c), world.dims)
-            true_world = wrap(*add(world.spawns[name], c), world.dims)
-            expect = wrap(*sub(true_world, world.spawns[leader]), world.dims)
-            assert got == expect, (name, c, got, expect)
+    """Every group-map entry, taken from its leader's spawn, is a world cell
+    holding that dispenser; returns the entries checked."""
+    checked = 0
+    for leader in set(store.leaders.values()):
+        for c, t in store.merged_view(leader).dispensers:
+            cell = wrap(*add(world.spawns[leader], c), world.dims)
+            assert world.dispensers.get(cell) == t, (leader, c, cell, t)
+            checked += 1
     store.check_one_leader()
+    return checked
 
 
 def test_criterion_3_merge_correctness():
@@ -203,10 +205,10 @@ def test_criterion_3_merge_correctness():
                 store.leaders[m] = right[0]
                 store.offsets[m] = sub(world.spawns[m], world.spawns[right[0]])
             for n in names:
-                record_statics(store.maps[n], percept_of(world, n))
+                record_statics(store, n, percept_of(world, n))
             _merge_case(world, store, names[0], names[1])
             assert len({store.leader_of(n) for n in names}) == 1
-            _frames_match_ground_truth(world, store)
+            assert _frames_match_ground_truth(world, store) > 0
             cases += 1
     assert cases > 200
     report(3, f"{cases} exhaustive pair merges on a 10x10 torus, all ground-true")

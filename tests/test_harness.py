@@ -24,9 +24,10 @@ from torusarena.harness import (
     replay,
     run_match,
 )
+from torusarena import team as team_module
 from torusarena.mapping import dump_map
-from torusarena.torus import torus_distance
-from torusarena.world import World, WorldConfig
+from torusarena.torus import add, torus_distance
+from torusarena.world import GOAL, World, WorldConfig
 
 
 def small_config(**overrides):
@@ -513,7 +514,38 @@ class TestCli:
         )
         assert rc == 0
         cfg = MatchConfig(dims=(20, 20), team_size=5, steps=60, seed=1, opponent="greedy-courier")
-        assert capsys.readouterr().out == dump_map(play(cfg).team.store.maps["alpha01"])
+        assert capsys.readouterr().out == dump_map(play(cfg).team.store, "alpha01")
+
+    def test_export_map_of_an_agent_that_never_merged_is_what_it_saw(self, capsys, monkeypatch):
+        # A team of one never merges, so its group map holds only its own
+        # sightings: export-map prints them in the agent's own frame, in the
+        # format of a map kept per agent (no pair measures the grid size).
+        seen = {"self": (0, 0), "dispensers": set(), "goals": set(), "taskboards": set()}
+        record = team_module.record_statics
+
+        def recording(store, agent, percept):
+            pos = seen["self"] = store.positions[agent]
+            seen["dispensers"] |= {
+                (add(pos, t.offset), t.detail) for t in percept.things if t.kind == "dispenser"
+            }
+            seen["goals"] |= {add(pos, off) for off, kind in percept.terrain if kind == GOAL}
+            seen["taskboards"] |= {add(pos, off) for off in percept.taskboards}
+            record(store, agent, percept)
+
+        monkeypatch.setattr(team_module, "record_statics", recording)
+        rc = cli_main(["export-map", "--dims", "30x30", "--team-size", "1", "--steps", "80",
+                       "--seed", "1", "--opponent", "greedy-courier"])
+        assert rc == 0
+        assert seen["dispensers"] and seen["goals"]
+        x, y = seen["self"]
+        assert capsys.readouterr().out == "".join(line + "\n" for line in (
+            "owner: alpha01",
+            "dims: unknown",
+            f"self: {x},{y}",
+            "dispensers: " + "; ".join(f"{x},{y}:{t}" for (x, y), t in sorted(seen["dispensers"])),
+            "goals: " + "; ".join(f"{x},{y}" for x, y in sorted(seen["goals"])),
+            "taskboards: " + "; ".join(f"{x},{y}" for x, y in sorted(seen["taskboards"])),
+        ))
 
     def test_export_map_writes_the_log_and_cache_of_run(self, tmp_path, capsys):
         match = ["--dims", "20x20", "--team-size", "3", "--steps", "40", "--seed", "3",
@@ -530,6 +562,11 @@ class TestCli:
         ).read_text()
         cached = sorted(p.name for p in (tmp_path / "run" / "cache").iterdir())
         assert cached == sorted(p.name for p in (tmp_path / "export-map" / "cache").iterdir())
+
+    def test_export_map_unknown_agent_exits_1(self, capsys):
+        rc = cli_main(["export-map", "--steps", "1", "--team-size", "1", "--agent", "beta01"])
+        assert rc == 1
+        assert "unknown agent 'beta01'" in capsys.readouterr().err
 
     def test_export_map_bad_config_exits_1(self, capsys):
         rc = cli_main(["export-map", "--steps", "0"])

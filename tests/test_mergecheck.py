@@ -280,12 +280,23 @@ def test_one_instance_merges_every_group_table(n):
                     won = la if na > nb or (na == nb and la < lb) else lb
                     assert engine.winner_loser(engine.initial_state(), 0)[0] == won
                     # The live record reads the same run: its winner, the
-                    # losing group in name order, the same transcript.
+                    # losing group in name order, the same transcript. Each
+                    # group's map holds its members' start cells in its
+                    # leader's frame, and so does the winner's after the
+                    # merge; every other map stays as it was.
                     store.leaders, store.offsets = dict(leaders), dict(offsets)
+                    store.views.clear()
+                    for g in groups:
+                        store.merged_view(g[0]).goals |= {offsets[m] for m in g}
                     (record,) = store.process_merges([s])
                     lost = sorted(gb if won == la else ga)
                     assert (record.winner, record.absorbed) == (won, tuple(lost))
                     assert record.transcript == tuple(transcript)
+                    maps = {l: view.goals for l, view in store.views.items()}
+                    assert maps == {
+                        l: {apart(start[m], start[l]) for m in agents if store.leaders[m] == l}
+                        for l in set(store.leaders.values())
+                    }
                     table, offs = dict(final.leaders), dict(final.offsets)
                     for m in agents:
                         if m in ga or m in gb:

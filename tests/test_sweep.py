@@ -1,7 +1,7 @@
 """Seeded invariant sweep: short matches on small grids against every
 opponent, with and without obstacles and clear events. After every world
 step the world's own invariants, the team's one-leader-per-group table, its
-merged views and its task-group and cartography tables must hold. The
+group maps and its task-group and cartography tables must hold. The
 checks hook into World.step, so the matches run through the harness's one
 step loop."""
 
@@ -9,11 +9,12 @@ import itertools
 
 import pytest
 
+from torusarena import team as team_module
 from torusarena.harness import OPPONENTS, MatchConfig, run_match
 from torusarena.mapping import MapStore
 from torusarena.team import TeamController
 from torusarena.torus import CARDINALS, add, delta, wrap
-from torusarena.world import World
+from torusarena.world import GOAL, World
 
 GRIDS = ((20, 20), (24, 20), (22, 26))
 DENSITIES = (0.0, 0.1, 0.2)
@@ -70,37 +71,60 @@ def check_group_tables(team: TeamController) -> tuple[int, int]:
     return len(team.groups), beside
 
 
-def check_merged_views(store: MapStore) -> None:
-    """Each leader's merged view, kept or rebuilt, equals a fresh union of
-    its members' maps in the leader's frame."""
+def group_members(store: MapStore, leader: str) -> list[str]:
+    return sorted(a for a, l in store.leaders.items() if l == leader)
+
+
+def check_merged_views(store: MapStore, seen: dict) -> None:
+    """Each leader's group map equals the union of its members' reference
+    maps (`seen`: agent -> entries in the agent's own frame), taken into
+    the leader's frame."""
     for leader in set(store.leaders.values()):
-        dispensers, goals, taskboards = set(), set(), set()
-        for m in store.group_members(leader):
-            local = store.maps[m]
-            dispensers |= {(store.to_leader(m, c), t) for c, t in local.dispensers}
-            goals |= {store.to_leader(m, c) for c in local.goals}
-            taskboards |= {store.to_leader(m, c) for c in local.taskboards}
+        union = {
+            (kind, store.to_leader(m, c), detail)
+            for m in group_members(store, leader)
+            for kind, c, detail in seen.get(m, ())
+        }
         view = store.merged_view(leader)
-        assert (view.dispensers, view.goals, view.taskboards) == (dispensers, goals, taskboards), leader
+        got = (
+            {("dispenser", c, t) for c, t in view.dispensers}
+            | {("goal", c, None) for c in view.goals}
+            | {("taskboard", c, None) for c in view.taskboards}
+        )
+        assert got == union, leader
 
 
 @pytest.fixture
 def checked_steps(monkeypatch):
     """Run every invariant check after every World.step; returns the checked
     step numbers, the number of task-group checks and the number of
-    retrievers checked beside their slot."""
+    retrievers checked beside their slot. Each percept the team records is
+    also folded into a reference map of its agent, in the agent's own frame,
+    so the group maps can be checked against their members' sightings."""
     teams, checked = [], {"steps": [], "groups": 0, "beside_slot": 0}
-    init, step = TeamController.__init__, World.step
+    seen: dict[str, set] = {}
+    init, step, record = TeamController.__init__, World.step, team_module.record_statics
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         teams.append(self)
+        seen.clear()
+
+    def recording_statics(store, agent, percept):
+        pos = store.positions[agent]
+        entries = seen.setdefault(agent, set())
+        entries |= {
+            ("dispenser", add(pos, t.offset), t.detail) for t in percept.things if t.kind == "dispenser"
+        }
+        entries |= {("goal", add(pos, off), None) for off, kind in percept.terrain if kind == GOAL}
+        entries |= {("taskboard", add(pos, off), None) for off in percept.taskboards}
+        record(store, agent, percept)
 
     def checking_step(self, *args, **kwargs):
         out = step(self, *args, **kwargs)
         self.check_invariants()
         teams[-1].store.check_one_leader()
-        check_merged_views(teams[-1].store)
+        check_merged_views(teams[-1].store, seen)
         groups, beside = check_group_tables(teams[-1])
         checked["groups"] += groups
         checked["beside_slot"] += beside
@@ -108,6 +132,7 @@ def checked_steps(monkeypatch):
         return out
 
     monkeypatch.setattr(TeamController, "__init__", recording_init)
+    monkeypatch.setattr(team_module, "record_statics", recording_statics)
     monkeypatch.setattr(World, "step", checking_step)
     return checked
 

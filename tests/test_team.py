@@ -253,7 +253,7 @@ class TestBullies:
         )
         team = self.hunter(w, center=(10, 10))
         # Seed the team map with both clusters, as exploration would.
-        team.store.maps["alpha01"].goals |= {
+        team.store.merged_view("alpha01").goals |= {
             sub(c, w.spawns["alpha01"]) for c in [(10, 10), (10, 11), (20, 20), (20, 21)]
         }
         rt = team.runtimes["alpha01"]
